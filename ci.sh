@@ -3,9 +3,9 @@
 #
 # Usage: ./ci.sh [--quick] [--stage <name>]
 #
-#   --quick         format + build + tier-1 tests + at-serve protocol and
-#                   codec unit tests (the inner-loop subset); CI proper
-#                   runs every stage.
+#   --quick         format + build + tier-1 tests + at-dsp tests + at-serve
+#                   protocol and codec unit tests (the inner-loop subset);
+#                   CI proper runs every stage.
 #   --stage <name>  run exactly one gate in isolation (any name from the
 #                   list below, including the quick-only ones) — the
 #                   debug loop for a single red gate.
@@ -14,6 +14,11 @@
 #   fmt          — cargo fmt --check over the whole workspace
 #   build        — release build of every crate
 #   tier1        — the full test suite (ROADMAP.md's tier-1 bar)
+#   dsp          — at-dsp's unit, property and doc tests: the packet
+#                  detector (−10 dB detection, false alarms, two frames,
+#                  overlap-save FFT correlation vs the direct oracle), the
+#                  zero-allocation detect proof, FFT and correlation-matrix
+#                  properties (root `cargo test` covers only the facade)
 #   proto        — at-serve wire-protocol unit tests (--quick and --stage)
 #   proto-props  — wire-protocol property tests: decoder totality,
 #                  bit-exact round trips, version gating
@@ -73,7 +78,7 @@ cd "$(dirname "$0")"
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke)
+STAGES=(fmt build tier1 dsp proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -163,6 +168,7 @@ run_stage() {
     fmt) stage fmt cargo fmt --all --check ;;
     build) stage build cargo build --release ;;
     tier1) stage tier1 cargo test -q ;;
+    dsp) stage dsp cargo test -q -p at-dsp ;;
     proto) stage proto cargo test -q -p at-serve --lib ;;
     proto-props) stage proto-props cargo test -q -p at-serve --test proto_proptests ;;
     codec) stage codec codec_gate ;;
@@ -187,6 +193,9 @@ elif [[ $QUICK -eq 1 ]]; then
     run_stage fmt
     run_stage build
     run_stage tier1
+    # The packet detector sits on every frame's path and tier-1 only
+    # reaches it through the facade; its own tests take seconds.
+    run_stage dsp
     # The wire protocol and its codec are the one subsystem whose bugs
     # tier-1 cannot see (the facade tests drive them through a healthy
     # path only), so their unit + property tests ride in the inner loop
@@ -208,6 +217,7 @@ else
     run_stage fmt
     run_stage build
     run_stage tier1
+    run_stage dsp
     run_stage codec
     run_stage replay
     run_stage topology

@@ -13,6 +13,7 @@
 //!
 //! Both report sample-accurate frame start offsets.
 
+use crate::fft::FftPlan;
 use at_linalg::Complex64;
 use std::cell::RefCell;
 
@@ -26,7 +27,8 @@ pub struct Detection {
 }
 
 /// Reusable workspace for the detectors' hot paths: the timing metric /
-/// correlation traces, the sliding-energy prefix sums, and the peak lists.
+/// correlation traces, the sliding-energy prefix sums, the matched
+/// filter's overlap-save block, and the peak lists.
 ///
 /// The `_into` detector methods write into one of these instead of
 /// allocating per call; [`SchmidlCox::detect`], [`MatchedFilter::detect`]
@@ -38,6 +40,7 @@ pub struct DetectScratch {
     metric: Vec<f64>,
     prefix: Vec<f64>,
     corr: Vec<f64>,
+    block: Vec<Complex64>,
     peaks: Vec<Detection>,
     kept: Vec<Detection>,
 }
@@ -183,6 +186,14 @@ impl SchmidlCox {
 /// Full-preamble matched filter: normalized cross-correlation of the
 /// received stream against the known 16 µs preamble waveform.
 ///
+/// The correlation runs as overlap-save FFT convolution. With `L` the
+/// reference length and `M = next_pow2(2L)` the block size (640 and 2048
+/// at 40 MS/s), each block of `M` input samples yields `M − L + 1`
+/// correlation outputs for one forward transform, one pointwise product
+/// and one inverse transform, against `O(M·L)` for the direct sliding dot
+/// product. A 1040-sample capture window is a single block; longer streams
+/// step through the input `M − L + 1` samples at a time.
+///
 /// ```
 /// use at_dsp::preamble::{Preamble, SAMPLE_RATE_HZ};
 /// use at_dsp::detector::MatchedFilter;
@@ -196,23 +207,71 @@ impl SchmidlCox {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MatchedFilter {
-    /// Conjugated, unit-energy reference preamble.
-    reference: Vec<Complex64>,
+    /// Reference preamble length `L` in samples.
+    reference_len: usize,
+    /// `conj(G) / M`, where `G` is the `M`-point spectrum of the
+    /// conjugated, time-reversed, unit-energy reference, zero-padded.
+    spectrum: Vec<Complex64>,
+    /// The `M`-point transform's twiddle and bit-reversal tables.
+    plan: FftPlan,
     /// Detection threshold on normalized correlation (0..1).
     threshold: f64,
+}
+
+/// The conjugated, unit-energy reference: `acc[d] = Σₖ r[k]·rx[d + k]`.
+fn unit_reference(preamble: &crate::preamble::Preamble, sample_rate_hz: f64) -> Vec<Complex64> {
+    let mut reference = preamble.reference(sample_rate_hz);
+    let energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
+    let scale = 1.0 / energy.sqrt();
+    for z in &mut reference {
+        *z = z.conj().scale(scale);
+    }
+    reference
+}
+
+/// Sliding window energy via prefix sums: `prefix[i] = Σ_{k<i} |rx[k]|²`.
+fn energy_prefix_into(rx: &[Complex64], prefix: &mut Vec<f64>) {
+    prefix.clear();
+    prefix.reserve(rx.len() + 1);
+    prefix.push(0.0);
+    for z in rx {
+        let last = *prefix.last().expect("non-empty prefix");
+        prefix.push(last + z.norm_sqr());
+    }
+}
+
+/// The normalized correlation at offset `d` from the raw dot product's
+/// magnitude `acc_abs`.
+fn normalized(acc_abs: f64, prefix: &[f64], d: usize, len: usize) -> f64 {
+    let energy = prefix[d + len] - prefix[d];
+    if energy > 0.0 {
+        acc_abs / energy.sqrt()
+    } else {
+        0.0
+    }
 }
 
 impl MatchedFilter {
     /// Builds the filter from a preamble sampled at `sample_rate_hz`.
     pub fn new(preamble: &crate::preamble::Preamble, sample_rate_hz: f64) -> Self {
-        let mut reference = preamble.reference(sample_rate_hz);
-        let energy: f64 = reference.iter().map(|z| z.norm_sqr()).sum();
-        let scale = 1.0 / energy.sqrt();
-        for z in &mut reference {
+        let reference = unit_reference(preamble, sample_rate_hz);
+        let len = reference.len();
+        let m = (2 * len).next_power_of_two();
+        let plan = FftPlan::new(m);
+        // Correlation with `r` is convolution with its time reverse `g`;
+        // the valid outputs of an `M`-point circular convolution sit at
+        // `L − 1..M`.
+        let mut spectrum: Vec<Complex64> = reference.iter().rev().copied().collect();
+        spectrum.resize(m, Complex64::ZERO);
+        plan.forward(&mut spectrum);
+        let scale = 1.0 / m as f64;
+        for z in &mut spectrum {
             *z = z.conj().scale(scale);
         }
         Self {
-            reference,
+            reference_len: len,
+            spectrum,
+            plan,
             threshold: 0.5,
         }
     }
@@ -237,32 +296,39 @@ impl MatchedFilter {
     /// (`scratch.correlation()`); empty when the stream is shorter than
     /// the reference.
     pub fn correlation_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
-        let DetectScratch { prefix, corr, .. } = scratch;
+        let DetectScratch {
+            prefix,
+            corr,
+            block,
+            ..
+        } = scratch;
         prefix.clear();
         corr.clear();
-        let n = self.reference.len();
-        if rx.len() < n {
+        let len = self.reference_len;
+        if rx.len() < len {
             return;
         }
-        // Sliding window energy via prefix sums.
-        prefix.reserve(rx.len() + 1);
-        prefix.push(0.0);
-        for z in rx {
-            let last = *prefix.last().expect("non-empty prefix");
-            prefix.push(last + z.norm_sqr());
-        }
-        corr.reserve(rx.len() - n + 1);
-        for d in 0..=rx.len() - n {
-            let mut acc = Complex64::ZERO;
-            for (r, x) in self.reference.iter().zip(&rx[d..d + n]) {
-                acc = acc.mul_add(*r, *x);
+        energy_prefix_into(rx, prefix);
+        let m = self.spectrum.len();
+        let step = m - len + 1;
+        let outputs = rx.len() - len + 1;
+        corr.reserve(outputs);
+        for start in (0..outputs).step_by(step) {
+            block.clear();
+            block.extend_from_slice(&rx[start..rx.len().min(start + m)]);
+            block.resize(m, Complex64::ZERO);
+            self.plan.forward(block);
+            // The inverse transform as a forward one on the conjugate:
+            // FFT(conj(X·G) / M) = conj(IFFT(X·G)), and only the
+            // magnitude is kept.
+            for (z, h) in block.iter_mut().zip(&self.spectrum) {
+                *z = z.conj() * *h;
             }
-            let energy = prefix[d + n] - prefix[d];
-            corr.push(if energy > 0.0 {
-                acc.abs() / energy.sqrt()
-            } else {
-                0.0
-            });
+            self.plan.forward(block);
+            let count = step.min(outputs - start);
+            for (j, acc) in block[len - 1..len - 1 + count].iter().enumerate() {
+                corr.push(normalized(acc.abs(), prefix, start + j, len));
+            }
         }
     }
 
@@ -279,6 +345,11 @@ impl MatchedFilter {
     /// (`scratch.detections()`) — the allocation-free shape of the scan.
     pub fn detect_all_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
         self.correlation_into(rx, scratch);
+        self.peaks_into(scratch);
+    }
+
+    /// Peak picking and non-maximum suppression over `scratch.corr`.
+    fn peaks_into(&self, scratch: &mut DetectScratch) {
         let DetectScratch {
             corr, peaks, kept, ..
         } = scratch;
@@ -307,7 +378,7 @@ impl MatchedFilter {
                 j -= 1;
             }
         }
-        let min_sep = self.reference.len();
+        let min_sep = self.reference_len;
         kept.clear();
         for &p in peaks.iter() {
             if kept.iter().all(|k| p.start.abs_diff(k.start) >= min_sep) {
@@ -350,7 +421,7 @@ impl MatchedFilter {
 
     /// Reference length in samples.
     pub fn reference_len(&self) -> usize {
-        self.reference.len()
+        self.reference_len
     }
 }
 
@@ -484,5 +555,118 @@ mod tests {
         assert!(mf.detect(&[Complex64::ONE; 10]).is_none());
         let sc = SchmidlCox::new(SAMPLE_RATE_HZ);
         assert!(sc.metric(&[Complex64::ONE; 10]).is_empty());
+    }
+
+    /// The direct `O(N·L)` sliding dot product the overlap-save form
+    /// replaced: the oracle for the FFT path.
+    fn direct_correlation(reference: &[Complex64], rx: &[Complex64]) -> Vec<f64> {
+        let n = reference.len();
+        if rx.len() < n {
+            return Vec::new();
+        }
+        let mut prefix = Vec::new();
+        energy_prefix_into(rx, &mut prefix);
+        (0..=rx.len() - n)
+            .map(|d| {
+                let acc = reference
+                    .iter()
+                    .zip(&rx[d..d + n])
+                    .fold(Complex64::ZERO, |acc, (r, x)| acc.mul_add(*r, *x));
+                normalized(acc.abs(), &prefix, d, n)
+            })
+            .collect()
+    }
+
+    /// `detect_all` over the oracle's correlation trace.
+    fn direct_detect_all(mf: &MatchedFilter, direct: &[f64]) -> Vec<Detection> {
+        let mut scratch = DetectScratch::new();
+        scratch.corr = direct.to_vec();
+        mf.peaks_into(&mut scratch);
+        scratch.kept
+    }
+
+    /// A stream of `len` samples: up to two preambles at `snr_db` in unit
+    /// noise, an optional zeroed run, everything scaled by `scale`.
+    fn parity_stream(
+        len: usize,
+        offsets: [f64; 2],
+        snr_db: f64,
+        zero_run: (f64, usize),
+        scale: f64,
+        seed: u64,
+    ) -> Vec<Complex64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pre = Preamble::new().reference(SAMPLE_RATE_HZ);
+        let amp = crate::awgn::db_to_linear(snr_db).sqrt();
+        let mut rx = vec![Complex64::ZERO; len];
+        NoiseSource::with_power(1.0).corrupt(&mut rx, &mut rng);
+        if len >= pre.len() {
+            for frac in offsets {
+                let at = (frac * (len - pre.len() + 1) as f64) as usize;
+                for (x, p) in rx[at..].iter_mut().zip(&pre) {
+                    *x += p.scale(amp);
+                }
+            }
+        }
+        let (frac, run) = zero_run;
+        let at = (frac * len as f64) as usize;
+        for x in rx.iter_mut().skip(at).take(run) {
+            *x = Complex64::ZERO;
+        }
+        for x in &mut rx {
+            *x = x.scale(scale);
+        }
+        rx
+    }
+
+    /// Stream lengths worth probing: below, at and just past one reference
+    /// length, the capture window, and one sample either side of the
+    /// first four block boundaries (`k·(M − L + 1) + L − 1` samples).
+    fn parity_len(pick: usize, extra: usize) -> usize {
+        let l = Preamble::new().reference(SAMPLE_RATE_HZ).len();
+        let step = (2 * l).next_power_of_two() - l + 1;
+        let mut lens = vec![1, l - 1, l, l + 1, 1040];
+        for k in 1..=4 {
+            let edge = k * step + l - 1;
+            lens.extend([edge - 1, edge, edge + 1]);
+        }
+        lens.get(pick).copied().unwrap_or(l + extra % (4 * step))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn fft_correlation_matches_the_direct_oracle(
+            shape in (0usize..24, 0usize..1 << 16),
+            offsets in (0.0f64..1.0, 0.0f64..1.0),
+            snr_db in -15.0f64..30.0,
+            zero_run in (0.0f64..1.0, 0usize..1200),
+            log_scale in -6.0f64..3.0,
+            seed in 0u64..1 << 32,
+        ) {
+            let len = parity_len(shape.0, shape.1);
+            let rx = parity_stream(len, [offsets.0, offsets.1], snr_db, zero_run, 10f64.powf(log_scale), seed);
+            let reference = unit_reference(&Preamble::new(), SAMPLE_RATE_HZ);
+            let base = MatchedFilter::new(&Preamble::new(), SAMPLE_RATE_HZ);
+
+            let fast = base.correlation(&rx);
+            let direct = direct_correlation(&reference, &rx);
+            proptest::prop_assert_eq!(fast.len(), direct.len());
+            let worst = fast.iter().zip(&direct).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+            proptest::prop_assert!(worst <= 1e-9, "len {len}: max |dcorr| {worst:e}");
+
+            for threshold in [0.15, 0.5] {
+                let mf = base.clone().with_threshold(threshold);
+                let starts = |dets: &[Detection]| dets.iter().map(|d| d.start).collect::<Vec<_>>();
+                let expect = direct_detect_all(&mf, &direct);
+                proptest::prop_assert_eq!(starts(&mf.detect_all(&rx)), starts(&expect));
+                let strongest = expect
+                    .iter()
+                    .copied()
+                    .max_by(|a, b| a.metric.partial_cmp(&b.metric).expect("finite metrics"));
+                proptest::prop_assert_eq!(mf.detect(&rx).map(|d| d.start), strongest.map(|d| d.start));
+            }
+        }
     }
 }

@@ -1,8 +1,9 @@
 //! Radix-2 iterative fast Fourier transform.
 //!
-//! Used for OFDM symbol synthesis/analysis (64-point at 20 MHz channel
-//! bandwidth) and for spectrum inspection in tests. Sizes must be powers of
-//! two, which all 802.11 OFDM block sizes are.
+//! Used for OFDM symbol analysis (64-point at 20 MHz channel bandwidth),
+//! for spectrum inspection in tests, and — through a precomputed
+//! [`FftPlan`] — for the matched filter's overlap-save correlation blocks.
+//! Sizes must be powers of two, which all 802.11 OFDM block sizes are.
 
 use at_linalg::Complex64;
 use std::f64::consts::PI;
@@ -16,53 +17,91 @@ pub enum Direction {
     Inverse,
 }
 
-/// In-place radix-2 decimation-in-time FFT.
+/// A forward radix-2 decimation-in-time transform of one fixed size, with
+/// its tables precomputed: the bit-reversal permutation and every stage's
+/// twiddles, each evaluated directly (no recurrence, so no error grows
+/// along a stage). Callers that transform many blocks of one size build
+/// it once and reuse it.
+#[derive(Clone, Debug)]
+pub(crate) struct FftPlan {
+    /// `bitrev[i]` is `i` with its `log2(n)` low bits reversed.
+    bitrev: Vec<usize>,
+    /// Twiddles of every stage, concatenated: the stage combining halves
+    /// of length `h` reads `twiddles[h - 1..2h - 1]`, entry `k` being
+    /// `e^{-jπk/h}`. `n - 1` entries in all.
+    twiddles: Vec<Complex64>,
+}
+
+impl FftPlan {
+    /// Tables for an `n`-point transform.
+    ///
+    /// # Panics
+    /// Panics if `n` is not a power of two.
+    pub(crate) fn new(n: usize) -> Self {
+        assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
+        let bits = n.trailing_zeros();
+        let bitrev = (0..n)
+            .map(|i| {
+                i.reverse_bits()
+                    .checked_shr(usize::BITS - bits)
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut half = 1;
+        while half < n {
+            twiddles.extend((0..half).map(|k| Complex64::cis(-PI * k as f64 / half as f64)));
+            half <<= 1;
+        }
+        Self { bitrev, twiddles }
+    }
+
+    /// Forward transform in place, kernel `e^{-j2πkn/N}`, unnormalized.
+    ///
+    /// # Panics
+    /// Panics if `data` is not exactly the planned length.
+    pub(crate) fn forward(&self, data: &mut [Complex64]) {
+        let n = self.bitrev.len();
+        assert_eq!(data.len(), n, "FFT plan is for {n} points");
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            if j > i {
+                data.swap(i, j);
+            }
+        }
+        let mut half = 1;
+        while half < n {
+            let tw = &self.twiddles[half - 1..2 * half - 1];
+            for chunk in data.chunks_exact_mut(2 * half) {
+                let (lo, hi) = chunk.split_at_mut(half);
+                for ((a, b), w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let t = *b * *w;
+                    *b = *a - t;
+                    *a += t;
+                }
+            }
+            half <<= 1;
+        }
+    }
+}
+
+/// In-place radix-2 FFT. The inverse runs the forward kernel on the
+/// conjugate, `x = conj(FFT(conj(X))) / N`.
 ///
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
 pub fn fft_in_place(data: &mut [Complex64], dir: Direction) {
-    let n = data.len();
-    assert!(n.is_power_of_two(), "FFT length {n} is not a power of two");
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if j > i {
-            data.swap(i, j);
-        }
-    }
-
-    // Butterfly passes.
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex64::cis(ang);
-        for chunk in data.chunks_mut(len) {
-            let mut w = Complex64::ONE;
-            let half = len / 2;
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half] * w;
-                chunk[i] = u + v;
-                chunk[i + half] = u - v;
-                w *= wlen;
+    let plan = FftPlan::new(data.len());
+    match dir {
+        Direction::Forward => plan.forward(data),
+        Direction::Inverse => {
+            for z in data.iter_mut() {
+                *z = z.conj();
             }
-        }
-        len <<= 1;
-    }
-
-    if dir == Direction::Inverse {
-        let scale = 1.0 / n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(scale);
+            plan.forward(data);
+            let scale = 1.0 / data.len() as f64;
+            for z in data.iter_mut() {
+                *z = z.conj().scale(scale);
+            }
         }
     }
 }

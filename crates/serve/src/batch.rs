@@ -116,11 +116,16 @@ pub struct BatchController {
 
 impl BatchController {
     /// A controller starting from `policy`; a `None` adaptive policy
-    /// pins the window (the controller becomes a pass-through).
-    pub fn new(policy: BatchPolicy, adaptive: Option<AdaptivePolicy>) -> Self {
+    /// pins the window (the controller becomes a pass-through). With
+    /// adaptation on, the window starts at [`AdaptivePolicy::min_window`]
+    /// rather than `policy.window`: a fresh server's first requests arrive
+    /// one at a time, and each would otherwise sit out the full starting
+    /// window before the first recomputation could shrink it.
+    pub fn new(mut policy: BatchPolicy, adaptive: Option<AdaptivePolicy>) -> Self {
         policy.validate();
         if let Some(a) = &adaptive {
             a.validate();
+            policy.window = a.min_window;
         }
         let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
         let gauge = at_obs::metrics::global().gauge(BATCH_WINDOW_GAUGE, &[]);
@@ -261,16 +266,8 @@ mod tests {
             period: 2,
         };
         let mut ctl = BatchController::new(policy(1, 8), Some(adaptive));
-        assert_eq!(ctl.policy().window, Duration::from_millis(1));
-        let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
-
-        // Light load: dwell ≈ a few µs ⇒ the window decays to the floor.
-        for _ in 0..64 {
-            dwell.observe(1e-6);
-        }
-        ctl.on_batch();
-        ctl.on_batch();
         assert_eq!(ctl.policy().window, adaptive.min_window);
+        let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
 
         // Backlog: dwell ≈ 100 ms ⇒ the window expands to the cap.
         for _ in 0..64 {
@@ -284,6 +281,14 @@ mod tests {
         ctl.on_batch();
         ctl.on_batch();
         assert_eq!(ctl.policy().window, adaptive.max_window);
+
+        // Light load: dwell ≈ a few µs ⇒ the window decays to the floor.
+        for _ in 0..64 {
+            dwell.observe(1e-6);
+        }
+        ctl.on_batch();
+        ctl.on_batch();
+        assert_eq!(ctl.policy().window, adaptive.min_window);
     }
 
     #[test]

@@ -104,7 +104,8 @@ pub struct ServeConfig {
     /// workers fed while the batcher gathers the next batch).
     pub exec_depth: usize,
     /// Coalescing policy for localize requests (`batch.window` is the
-    /// starting window when adaptation is on).
+    /// fixed window when `adaptive` is `None`; with adaptation on, the
+    /// window starts at `adaptive.min_window` instead).
     pub batch: BatchPolicy,
     /// Adaptive window sizing from the observed admission-queue dwell;
     /// `None` pins the window at `batch.window`.
