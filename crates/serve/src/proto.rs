@@ -1197,6 +1197,94 @@ mod tests {
         });
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden wire bytes for every submit encoding and both localize
+    /// requests: the exact bytes (header included) each frame encodes to,
+    /// and that those bytes decode back to the same frame. An in-memory
+    /// refactor of the frame types must leave all of these untouched.
+    #[test]
+    fn submit_and_localize_wire_bytes_are_pinned() {
+        // 8 bins on the quantizer's grid, so every encoding round-trips.
+        let s = codec::quantized(&AoaSpectrum::from_values(vec![
+            0.0, 0.5, 1.0, 2.0, 4.0, 3.0, 0.25, 1.5,
+        ]));
+        let cases: [(Frame, &str); 6] = [
+            (
+                Frame::SubmitSpectrum {
+                    ap_id: 2,
+                    age: 3,
+                    spectrum: s.clone(),
+                },
+                concat!(
+                    "4154010150000000020000000300000000000000080000000000000000000000",
+                    "1c834da0bdffdf3fa86024c0d3ffef3f5b8a0ae0e9ffff3f0000000000001040",
+                    "526ec46ece0008408cf18580a7ffcf3fc59b3dd6bd00f83f",
+                ),
+            ),
+            (
+                Frame::SubmitKeyed {
+                    key: 0x0102_0304_0506_0708,
+                    ap_id: 2,
+                    age: 3,
+                    spectrum: s.clone(),
+                },
+                concat!(
+                    "4154020658000000080706050403020102000000030000000000000008000000",
+                    "00000000000000001c834da0bdffdf3fa86024c0d3ffef3f5b8a0ae0e9ffff3f",
+                    "0000000000001040526ec46ece0008408cf18580a7ffcf3fc59b3dd6bd00f83f",
+                ),
+            ),
+            (
+                Frame::SubmitCompressed {
+                    ap_id: 2,
+                    age: 3,
+                    mode: CompressedMode::Quantized,
+                    spectrum: s.clone(),
+                },
+                concat!(
+                    "415403082a000000020000000300000000000000010800000000000000000010",
+                    "400000f6b207d819d819d819d30a8b5cb442",
+                ),
+            ),
+            (
+                Frame::SubmitCompressedKeyed {
+                    key: 0x0102_0304_0506_0708,
+                    ap_id: 2,
+                    age: 3,
+                    mode: CompressedMode::Lossless,
+                    spectrum: s.clone(),
+                },
+                concat!(
+                    "415403095c000000080706050403020102000000030000000000000002080000",
+                    "0000000000000000009c86b682daf7ffef3fb4c7a783e68d8018f3d5bb81a287",
+                    "8008db94aa809efdfff77fd2dc91f6e699800cdebf86f29eedffe37fc9d4e1b5",
+                    "a5e3ff1b",
+                ),
+            ),
+            (
+                Frame::Localize { deadline_ms: 250 },
+                "4154010304000000fa000000",
+            ),
+            (
+                Frame::LocalizeKey {
+                    key: 0x0102_0304_0506_0708,
+                    deadline_ms: 250,
+                },
+                "415402070c0000000807060504030201fa000000",
+            ),
+        ];
+        for (frame, golden) in cases {
+            let bytes = frame.encode();
+            assert_eq!(hex(&bytes), golden, "{frame:?}");
+            let (decoded, used) = decode(&bytes).expect("valid").expect("complete");
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded, frame);
+        }
+    }
+
     #[test]
     fn metrics_frames_are_version_gated() {
         // The scrape pair encodes under v4; every older header is the
