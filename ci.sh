@@ -52,6 +52,8 @@
 #                  tier is bit-reproducible)
 #   lint         — clippy -D warnings on every workspace crate, including
 #                  at-dsp, at-linalg, and at-obs
+#   doc          — rustdoc -D warnings over every workspace crate (broken,
+#                  ambiguous, or private intra-doc links fail the build)
 #   serve        — the networked location service: wire-protocol unit +
 #                  property tests (decoder totality, bit-exact round trips)
 #                  and the loopback server tests (parity, shedding,
@@ -78,7 +80,7 @@ cd "$(dirname "$0")"
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 dsp proto proto-props codec replay topology robustness serve serve-sessions lint bench-smoke)
+STAGES=(fmt build tier1 dsp proto proto-props codec replay topology robustness serve serve-sessions lint doc bench-smoke)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -162,6 +164,12 @@ lint() {
         --exclude criterion --all-targets -- -D warnings
 }
 
+doc() {
+    # Same exclusions as lint: the vendored stand-ins are not our docs.
+    RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
+        --exclude rand --exclude proptest --exclude criterion
+}
+
 # run_stage <name> — dispatch one gate by its public name.
 run_stage() {
     case "$1" in
@@ -178,6 +186,7 @@ run_stage() {
     serve) stage serve serve ;;
     serve-sessions) stage serve-sessions serve_sessions ;;
     lint) stage lint lint ;;
+    doc) stage doc doc ;;
     bench-smoke) stage bench-smoke cargo run --release -q -p at-bench --bin perf_report -- --smoke ;;
     *)
         echo "ci.sh: unknown stage '$1'" >&2
@@ -225,6 +234,7 @@ else
     run_stage serve
     run_stage serve-sessions
     run_stage lint
+    run_stage doc
     run_stage bench-smoke
 fi
 

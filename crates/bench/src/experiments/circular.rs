@@ -1,7 +1,7 @@
 //! Extension experiment: linear vs. circular arrays (paper §6 discussion).
 //!
 //! The paper weighs the trade-off qualitatively: "circular array resolves
-//! 360 degrees while linear resolves 180 degrees, [but] twice the number
+//! 360 degrees while linear resolves 180 degrees, \[but\] twice the number
 //! of antennas is needed for circular array to achieve the same level of
 //! resolution accuracy, while linear array has the problem of symmetry
 //! ambiguity". This experiment makes it quantitative on the simulated

@@ -11,7 +11,7 @@
 //!   measurement (`cargo run --release -p at-bench --bin perf_report`);
 //! - [`run_smoke`] (`perf_report --smoke`) is the CI bench-smoke gate: a
 //!   tiny workload (3 clients, 50 cm grid) whose observed stage budget
-//!   must stay within [`SMOKE_TOLERANCE`]× of the committed baseline.
+//!   must stay within `SMOKE_TOLERANCE`× of the committed baseline.
 //!   `AT_SMOKE_INJECT_MS` inflates the observed stages — the hook the CI
 //!   self-test uses to prove the gate actually fails on a regression.
 

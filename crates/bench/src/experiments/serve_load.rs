@@ -27,7 +27,7 @@
 //!
 //! `--smoke` runs the same four phases at CI scale (seconds, not
 //! minutes) and exits non-zero if the sustained throughput collapses
-//! below [`SMOKE_MIN_RPS`], the shed/drain behaviors disappear, the
+//! below `SMOKE_MIN_RPS`, the shed/drain behaviors disappear, the
 //! keyed parity breaks, the resident gauge exceeds the cap, the
 //! quantized uplink spends more than 0.15× the raw bytes per spectrum,
 //! the median quantized fix drifts ≥ 1 mm from the raw path, or the

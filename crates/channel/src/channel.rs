@@ -1,7 +1,7 @@
 //! End-to-end baseband channel: waveform in, per-antenna samples out.
 //!
 //! This is the boundary the ArrayTrack algorithms see. For every traced
-//! [`Path`](crate::propagation::Path) `p` and antenna `m`, the received
+//! [`Path`] `p` and antenna `m`, the received
 //! contribution is
 //!
 //! ```text

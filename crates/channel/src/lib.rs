@@ -10,7 +10,7 @@
 //! - [`propagation`]: image-method path tracing (direct + 1st/2nd-order
 //!   specular reflections) with free-space loss and per-bounce phase
 //!   inversion;
-//! - [`array`]: uniform linear arrays at λ/2 spacing plus the off-row
+//! - [`array`](mod@array): uniform linear arrays at λ/2 spacing plus the off-row
 //!   disambiguation antenna (paper §2.3.4, §3);
 //! - [`channel`]: applies traced paths to a waveform, yielding per-antenna
 //!   sample streams with exact per-antenna carrier phases;

@@ -58,9 +58,8 @@ pub use health::{ApStatus, HealthPolicy, HealthTracker, LocalizeError};
 pub use music::{music_analysis, music_spectrum, MusicAnalysis, MusicConfig};
 pub use parallel::parallel_map;
 pub use pipeline::{
-    execute_fusion, fuse_batch, fuse_batch_into, fuse_with_engine, fuse_with_scratch, plan_fusion,
-    plan_fusion_indexed, process_frame, process_frame_group, ApPipelineConfig, ArrayTrackServer,
-    FusedObservation, FusionPlan, FusionScratch,
+    fuse_with_scratch, plan_fusion_indexed, process_frame, process_frame_group, ApPipelineConfig,
+    ArrayTrackServer, FusedObservation, FusionPlan, FusionScratch,
 };
 pub use spectrum::{AoaSpectrum, Peak};
 pub use suppression::{suppress_multipath, SuppressionConfig};

@@ -130,12 +130,11 @@ pub fn process_frame_group(
 /// One observation entering policy-gated fusion against a shared
 /// [`LocalizationEngine`].
 ///
-/// This is the engine-shared (and batchable) form of what
+/// This is the engine-shared form of what
 /// [`ArrayTrackServer::try_localize`] consumes internally: the networked
 /// location service keeps *one* engine per deployment and runs every
-/// query through [`plan_fusion`] / [`execute_fusion`], getting results
-/// bit-identical to an in-process server built from the same
-/// submissions.
+/// query through [`fuse_with_scratch`], getting results bit-identical to
+/// an in-process server built from the same submissions.
 #[derive(Clone, Copy, Debug)]
 pub struct FusedObservation<'a> {
     /// Index of the producing AP in the engine's pose table.
@@ -149,7 +148,7 @@ pub struct FusedObservation<'a> {
     pub age: u64,
 }
 
-/// The survivors of policy filtering, ready for [`execute_fusion`]:
+/// The survivors of policy filtering, ready for the engine sweep:
 /// indices into the planned observation slice plus their confidence
 /// weights.
 ///
@@ -161,11 +160,6 @@ pub struct FusionPlan {
 }
 
 impl FusionPlan {
-    /// An empty plan, ready for [`plan_fusion_indexed`] to fill.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of observations that survived filtering.
     pub fn fused(&self) -> usize {
         self.picked.len()
@@ -174,8 +168,9 @@ impl FusionPlan {
 
 /// Reusable workspace for one fusion query: the [`FusionPlan`], owned
 /// storage for tempered (degraded-AP) spectra, and the engine's
-/// [`LocalizeScratch`]. One of these per serving thread makes the warm
-/// localize path allocation-free end to end.
+/// [`LocalizeScratch`]. One of these per serving thread (or per
+/// [`ArrayTrackServer`]) makes the warm localize path allocation-free end
+/// to end.
 #[derive(Clone, Debug, Default)]
 pub struct FusionScratch {
     plan: FusionPlan,
@@ -183,57 +178,17 @@ pub struct FusionScratch {
     engine: LocalizeScratch,
 }
 
-impl FusionScratch {
-    /// An empty workspace; it grows to the query shape on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-thread_local! {
-    static FUSION_SCRATCH: RefCell<FusionScratch> = RefCell::new(FusionScratch::new());
-}
-
-/// Runs `f` with the calling thread's default fusion workspace (the
-/// pool behind the non-`_scratch` entry points). Falls back to a fresh
-/// arena under re-entrancy rather than panicking.
-fn with_fusion_scratch<R>(f: impl FnOnce(&mut FusionScratch) -> R) -> R {
-    FUSION_SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut FusionScratch::new()),
-    })
-}
-
-/// Filters and weights `obs` under the degradation policy, without
+/// Filters and weights observations under the degradation policy, without
 /// touching an engine: resolution check against `expected_bins`, then the
 /// stale / degenerate / down drops and degraded-AP tempering documented on
 /// [`ArrayTrackServer::try_localize`], then the quorum gate.
 ///
+/// Observations are supplied as `get(i)` for `i < n` and the survivors
+/// land in the caller's reusable `plan` (cleared first, even on error).
 /// Callers holding a deployment-wide engine pass `engine.bins()`;
 /// [`ArrayTrackServer::try_localize`] passes its first observation's
 /// resolution (identical semantics — its engine is built with that
 /// resolution).
-pub fn plan_fusion(
-    obs: &[FusedObservation<'_>],
-    expected_bins: usize,
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-) -> Result<FusionPlan, LocalizeError> {
-    let mut plan = FusionPlan::new();
-    plan_fusion_indexed(
-        obs.len(),
-        &|i| obs[i],
-        expected_bins,
-        health,
-        policy,
-        &mut plan,
-    )?;
-    Ok(plan)
-}
-
-/// The accessor-based, allocation-free core of [`plan_fusion`]:
-/// observations are supplied as `get(i)` for `i < n` and the survivors
-/// land in the caller's reusable `plan` (cleared first, even on error).
 pub fn plan_fusion_indexed<'a, F>(
     n: usize,
     get: &F,
@@ -307,43 +262,34 @@ where
     Ok(())
 }
 
-/// Runs a [`FusionPlan`]'s surviving observations through `engine`.
+/// One policy-gated localize query against a shared engine — the single
+/// fusion entry point behind [`ArrayTrackServer::try_localize`] and the
+/// networked service: plan with [`plan_fusion_indexed`], then run the
+/// survivors through the engine sweep, in a caller-owned workspace.
 ///
-/// Tempered (degraded) spectra get owned storage; full-trust spectra are
-/// borrowed as-is, so an all-healthy plan is byte-identical to calling
-/// [`LocalizationEngine::localize`] on the raw spectra. Uses the calling
-/// thread's pooled [`FusionScratch`]; repeat queries allocate nothing
-/// beyond degraded-spectrum tempering.
-pub fn execute_fusion(
+/// Observations are supplied as `get(i)` for `i < n`, so no query-shaped
+/// vector is built. Tempered (degraded) spectra get owned storage;
+/// full-trust spectra are borrowed as-is, so an all-healthy plan is
+/// byte-identical to calling [`LocalizationEngine::localize`] on the raw
+/// spectra. Once the [`FusionScratch`] has warmed to the query shape,
+/// repeat queries allocate nothing beyond degraded-spectrum tempering.
+pub fn fuse_with_scratch<'a, F>(
     engine: &LocalizationEngine,
-    obs: &[FusedObservation<'_>],
-    plan: &FusionPlan,
-) -> LocationEstimate {
-    with_fusion_scratch(|scratch| {
-        execute_plan(
-            engine,
-            &|i| obs[i],
-            plan,
-            &mut scratch.tempered,
-            &mut scratch.engine,
-        )
-    })
-}
-
-/// The accessor-based core of [`execute_fusion`], writing through the
-/// caller's tempering buffer and engine arena (split out of a
-/// [`FusionScratch`] so the plan inside the same scratch can be borrowed
-/// simultaneously).
-fn execute_plan<'a, F>(
-    engine: &LocalizationEngine,
+    n: usize,
     get: &F,
-    plan: &FusionPlan,
-    tempered: &mut Vec<Option<AoaSpectrum>>,
-    engine_scratch: &mut LocalizeScratch,
-) -> LocationEstimate
+    health: &HealthTracker,
+    policy: &HealthPolicy,
+    scratch: &mut FusionScratch,
+) -> Result<LocationEstimate, LocalizeError>
 where
     F: Fn(usize) -> FusedObservation<'a>,
 {
+    let FusionScratch {
+        plan,
+        tempered,
+        engine: engine_scratch,
+    } = scratch;
+    plan_fusion_indexed(n, get, engine.bins(), health, policy, plan)?;
     tempered.clear();
     tempered.resize(plan.picked.len(), None);
     for (slot, &(i, w)) in tempered.iter_mut().zip(&plan.picked) {
@@ -357,96 +303,10 @@ where
         let o = get(i);
         (o.pose_idx, tempered[j].as_ref().unwrap_or(o.spectrum))
     };
-    engine.localize_indexed(plan.picked.len(), &get_spec, engine_scratch)
+    Ok(engine.localize_indexed(plan.picked.len(), &get_spec, engine_scratch))
 }
 
-/// [`plan_fusion`] + [`execute_fusion`] against a deployment-shared
-/// engine — one networked localize query, on the calling thread's pooled
-/// [`FusionScratch`].
-pub fn fuse_with_engine(
-    engine: &LocalizationEngine,
-    obs: &[FusedObservation<'_>],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-) -> Result<LocationEstimate, LocalizeError> {
-    with_fusion_scratch(|scratch| fuse_with_scratch(engine, obs, health, policy, scratch))
-}
-
-/// [`fuse_with_engine`] with a caller-owned workspace: a serving worker
-/// that keeps one [`FusionScratch`] per exec thread localizes with zero
-/// heap allocations once the arena has warmed to the query shape.
-pub fn fuse_with_scratch(
-    engine: &LocalizationEngine,
-    obs: &[FusedObservation<'_>],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-    scratch: &mut FusionScratch,
-) -> Result<LocationEstimate, LocalizeError> {
-    let FusionScratch {
-        plan,
-        tempered,
-        engine: engine_scratch,
-    } = scratch;
-    plan_fusion_indexed(obs.len(), &|i| obs[i], engine.bins(), health, policy, plan)?;
-    Ok(execute_plan(
-        engine,
-        &|i| obs[i],
-        plan,
-        tempered,
-        engine_scratch,
-    ))
-}
-
-/// Batch-localize entry point: runs every query of `queries` through the
-/// shared `engine` under one health snapshot, fanning out across up to
-/// `threads` OS threads (the queries of a batch are independent).
-///
-/// This is what a serving layer's batch executor calls after coalescing
-/// concurrent localize requests: engine caches stay hot across the whole
-/// batch and per-query results are identical to calling
-/// [`fuse_with_engine`] one query at a time.
-pub fn fuse_batch(
-    engine: &LocalizationEngine,
-    queries: &[&[FusedObservation<'_>]],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-    threads: usize,
-) -> Vec<Result<LocationEstimate, LocalizeError>> {
-    let mut out = Vec::with_capacity(queries.len());
-    fuse_batch_into(engine, queries, health, policy, threads, &mut out);
-    out
-}
-
-/// [`fuse_batch`] writing into a caller-reused results vector (cleared
-/// first): the fully allocation-free batch path for a serving worker that
-/// owns both its [`FusionScratch`] (via the thread pool) and its results
-/// buffer. Single-threaded batches reuse the calling thread's scratch
-/// across every query of the batch.
-pub fn fuse_batch_into(
-    engine: &LocalizationEngine,
-    queries: &[&[FusedObservation<'_>]],
-    health: &HealthTracker,
-    policy: &HealthPolicy,
-    threads: usize,
-    out: &mut Vec<Result<LocationEstimate, LocalizeError>>,
-) {
-    out.clear();
-    if queries.len() <= 1 || threads <= 1 {
-        with_fusion_scratch(|scratch| {
-            out.extend(
-                queries
-                    .iter()
-                    .map(|q| fuse_with_scratch(engine, q, health, policy, scratch)),
-            );
-        });
-        return;
-    }
-    out.extend(crate::parallel::parallel_map(queries, threads, |_, q| {
-        fuse_with_engine(engine, q, health, policy)
-    }));
-}
-
-/// Submission metadata carried alongside each observation: which
+/// Submission metadata carried alongside each observation/// Submission metadata carried alongside each observation: which
 /// deployment AP produced it (for health tracking) and how old it is.
 #[derive(Clone, Copy, Debug)]
 struct ObservationMeta {
@@ -491,6 +351,7 @@ pub struct ArrayTrackServer {
     meta: Vec<ObservationMeta>,
     region: SearchRegion,
     engine: RefCell<Option<LocalizationEngine>>,
+    scratch: RefCell<FusionScratch>,
     policy: HealthPolicy,
     health: HealthTracker,
 }
@@ -504,6 +365,7 @@ impl ArrayTrackServer {
             meta: Vec::new(),
             region,
             engine: RefCell::new(None),
+            scratch: RefCell::default(),
             policy: HealthPolicy::default(),
             health: HealthTracker::default(),
         }
@@ -682,33 +544,23 @@ impl ArrayTrackServer {
         }
         let bins = self.observations[0].spectrum.bins();
         // The engine's pose table mirrors the observation list, so each
-        // observation's pose index is simply its position; observations
-        // are read through an accessor so no query-shaped vector is built.
+        // observation's pose index is simply its position.
         let get = |i: usize| FusedObservation {
             pose_idx: i,
             spectrum: &self.observations[i].spectrum,
             ap_id: self.meta[i].ap_id,
             age: self.meta[i].age,
         };
-        with_fusion_scratch(|scratch| {
-            let FusionScratch {
-                plan,
-                tempered,
-                engine: engine_scratch,
-            } = scratch;
-            // Plan first: a quorum failure must not pay an engine rebuild.
-            plan_fusion_indexed(
-                self.observations.len(),
-                &get,
-                bins,
-                &self.health,
-                &self.policy,
-                plan,
-            )?;
-            let slot = self.ensure_engine(bins);
-            let engine = slot.as_ref().expect("engine was just built");
-            Ok(execute_plan(engine, &get, plan, tempered, engine_scratch))
-        })
+        let slot = self.ensure_engine(bins);
+        let engine = slot.as_ref().expect("engine was just built");
+        fuse_with_scratch(
+            engine,
+            self.observations.len(),
+            &get,
+            &self.health,
+            &self.policy,
+            &mut self.scratch.borrow_mut(),
+        )
     }
 
     /// The accumulated observations (for heatmap rendering).
@@ -1126,24 +978,26 @@ mod tests {
             })
             .collect();
         let health = HealthTracker::new(all_poses.len());
-        let shared = fuse_with_engine(&engine, &fused, &health, &HealthPolicy::default())
+        let mut scratch = FusionScratch::default();
+        for _ in 0..2 {
+            // Cold and warm scratch alike.
+            let shared = fuse_with_scratch(
+                &engine,
+                fused.len(),
+                &|i| fused[i],
+                &health,
+                &HealthPolicy::default(),
+                &mut scratch,
+            )
             .expect("healthy subset");
-        assert_eq!(in_process.position.x.to_bits(), shared.position.x.to_bits());
-        assert_eq!(in_process.position.y.to_bits(), shared.position.y.to_bits());
-        assert_eq!(in_process.likelihood.to_bits(), shared.likelihood.to_bits());
-
-        // And the batch entry point agrees with the one-at-a-time path.
-        let queries: Vec<&[FusedObservation]> = vec![&fused, &fused];
-        let batch = fuse_batch(&engine, &queries, &health, &HealthPolicy::default(), 2);
-        for r in batch {
-            let est = r.expect("healthy batch");
-            assert_eq!(est.position.x.to_bits(), shared.position.x.to_bits());
-            assert_eq!(est.position.y.to_bits(), shared.position.y.to_bits());
+            assert_eq!(in_process.position.x.to_bits(), shared.position.x.to_bits());
+            assert_eq!(in_process.position.y.to_bits(), shared.position.y.to_bits());
+            assert_eq!(in_process.likelihood.to_bits(), shared.likelihood.to_bits());
         }
     }
 
     #[test]
-    fn plan_fusion_surfaces_typed_errors() {
+    fn plan_fusion_indexed_surfaces_typed_errors() {
         let pose = ApPose {
             center: pt(0.0, 0.0),
             axis_angle: 0.0,
@@ -1151,8 +1005,12 @@ mod tests {
         let spec = lobe_toward(pose, pt(3.0, 3.0));
         let policy = HealthPolicy::default();
         let health = HealthTracker::new(1);
+        let mut plan = FusionPlan::default();
+        let mut plan_of = |obs: &[FusedObservation], bins| {
+            plan_fusion_indexed(obs.len(), &|i| obs[i], bins, &health, &policy, &mut plan)
+        };
         assert_eq!(
-            plan_fusion(&[], 720, &health, &policy).unwrap_err(),
+            plan_of(&[], 720).unwrap_err(),
             crate::health::LocalizeError::NoObservations
         );
         let obs = [FusedObservation {
@@ -1161,7 +1019,7 @@ mod tests {
             ap_id: Some(0),
             age: 0,
         }];
-        match plan_fusion(&obs, 360, &health, &policy) {
+        match plan_of(&obs, 360) {
             Err(crate::health::LocalizeError::ResolutionMismatch {
                 observation,
                 bins,
@@ -1171,7 +1029,7 @@ mod tests {
         }
         // A stale-only submission fails quorum with the stale count.
         let stale_obs = [FusedObservation { age: 99, ..obs[0] }];
-        match plan_fusion(&stale_obs, 720, &health, &policy) {
+        match plan_of(&stale_obs, 720) {
             Err(crate::health::LocalizeError::QuorumNotMet { stale, .. }) => {
                 assert_eq!(stale, 1)
             }

@@ -3,7 +3,7 @@
 //! Indoor multipath copies are *coherent* — phase-locked replicas of one
 //! transmitted signal — which collapses the source correlation matrix `Rss`
 //! to rank one and breaks MUSIC's subspace split. Shan, Wax & Kailath's
-//! spatial smoothing (the paper's reference [28]) restores rank by
+//! spatial smoothing (the paper's reference \[28\]) restores rank by
 //! averaging the covariance of `NG` overlapping subarrays of size
 //! `M − NG + 1`, at the cost of that many effective antennas.
 
@@ -36,7 +36,7 @@ pub fn spatial_smooth(rxx: &CMatrix, groups: usize) -> CMatrix {
 
 /// Forward–backward spatial smoothing: additionally averages with the
 /// complex-conjugated, index-reversed ("backward") covariance, doubling the
-/// decorrelation per antenna spent. A standard extension of [28]; exposed
+/// decorrelation per antenna spent. A standard extension of \[28\]; exposed
 /// for the ablation bench.
 pub fn spatial_smooth_fb(rxx: &CMatrix, groups: usize) -> CMatrix {
     let fwd = spatial_smooth(rxx, groups);

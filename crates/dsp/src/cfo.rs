@@ -8,7 +8,7 @@
 //! `2πΔf·3.2 µs`; at the 802.11 limit of ±20 ppm that is up to ±1 rad and
 //! would corrupt the synthesized cross-set correlations.
 //!
-//! The classic fix (Schmidl–Cox [25] and every OFDM receiver since):
+//! The classic fix (Schmidl–Cox \[25\] and every OFDM receiver since):
 //! identical transmitted blocks separated by `T` seconds differ at the
 //! receiver *only* by `e^{j2πΔf·T}` (for a static channel), so
 //!

@@ -2,7 +2,7 @@
 //!
 //! Used for OFDM symbol analysis (64-point at 20 MHz channel bandwidth),
 //! for spectrum inspection in tests, and — through a precomputed
-//! [`FftPlan`] — for the matched filter's overlap-save correlation blocks.
+//! `FftPlan` — for the matched filter's overlap-save correlation blocks.
 //! Sizes must be powers of two, which all 802.11 OFDM block sizes are.
 
 use at_linalg::Complex64;

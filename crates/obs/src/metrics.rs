@@ -5,8 +5,8 @@
 //! [`Histogram::observe`]) are plain atomic read-modify-writes — no locks,
 //! no allocation. The registry itself takes a short write lock only on
 //! first registration of a metric; instrumented call sites cache the
-//! returned `Arc` handle (see the [`counter!`](crate::counter) /
-//! [`histogram!`](crate::histogram) macros), so steady-state recording
+//! returned `Arc` handle (see the [`count!`](crate::count!) /
+//! [`time_stage!`](crate::time_stage!) macros), so steady-state recording
 //! never touches the registry map at all.
 //!
 //! Naming scheme (see DESIGN.md §"Observability"): metric names are

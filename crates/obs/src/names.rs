@@ -34,7 +34,7 @@ pub const SERVE_SESSIONS_SUBMITS_TOTAL: &str = "at_serve_sessions_submits_total"
 /// byte-budget smoke gate reads the same counter the operator would).
 pub const SERVE_UPLINK_BYTES_TOTAL: &str = "at_serve_uplink_bytes_total";
 
-/// Counter: compressed (v3 `SubmitCompressed*`) frames admitted,
+/// Counter: compressed (v3) submit frames admitted,
 /// labelled `mode="quantized"|"lossless"`.
 pub const SERVE_COMPRESSED_FRAMES_TOTAL: &str = "at_serve_compressed_frames_total";
 

@@ -41,6 +41,7 @@ use at_config::{SessionPolicy, TopologyOp};
 use at_core::health::LocalizeError;
 use at_core::AoaSpectrum;
 use at_serve::codec::{self, CompressedMode};
+use at_serve::proto::Frame;
 use at_serve::{ClientKey, ServiceConfig};
 
 /// Magic bytes opening every segment file.
@@ -281,6 +282,30 @@ pub enum Outcome {
     DeadlineExceeded,
     /// The server was draining (skipped).
     ShuttingDown,
+}
+
+impl Outcome {
+    /// The outcome a localize reply frame records as.
+    pub fn of_reply(reply: &Frame) -> Self {
+        match reply {
+            Frame::Fix {
+                x, y, likelihood, ..
+            } => Outcome::Fix {
+                x: *x,
+                y: *y,
+                likelihood: *likelihood,
+            },
+            Frame::Failed { error } => Outcome::Failed {
+                error: error.clone(),
+            },
+            Frame::Overloaded { .. } => Outcome::Overloaded,
+            Frame::DeadlineExceeded => Outcome::DeadlineExceeded,
+            Frame::ShuttingDown => Outcome::ShuttingDown,
+            // The localize path produces no other reply; journal anything
+            // unexpected as a shed so the record count still balances.
+            _ => Outcome::Overloaded,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 //! This crate exploits that to turn *production traffic itself* into a
 //! regression suite:
 //!
-//! - [`format`] — the on-disk journal: segmented, append-only,
+//! - [`format`](mod@format) — the on-disk journal: segmented, append-only,
 //!   CRC-checksummed records of every admitted submission, localize
 //!   request, failure report, and reaper event, with spectra stored via
 //!   the wire codec's lossless mode. The decoder is total — arbitrary
@@ -17,8 +17,9 @@
 //!   error stops recording, never the service.
 //! - [`reader`] — [`Journal::open`] loads and cross-validates a whole
 //!   segment directory.
-//! - [`replay`] — [`replay_in_process`] re-drives a fresh store + engine
-//!   and asserts every recorded fix reproduces bit-exactly;
+//! - [`replay`] — [`replay_in_process`] feeds the journal into a fresh
+//!   `at_serve::ServiceCore` (the server's own state machine) and asserts
+//!   every recorded fix reproduces bit-exactly;
 //!   [`replay_wire`] replays through real client sessions against a live
 //!   server at recorded or accelerated pacing.
 //!

@@ -3,12 +3,12 @@
 //!
 //! Two modes:
 //!
-//! - [`replay_in_process`] drives a fresh [`SessionStore`] +
-//!   [`at_core::LocalizationEngine`] + [`HealthTracker`] directly, with
-//!   no network or threads — the regression harness. Because the store's
-//!   eviction order is a deterministic function of the submit/snapshot
-//!   sequence, a sequentially recorded journal replays to identical
-//!   session state and therefore identical fusion inputs.
+//! - [`replay_in_process`] feeds the journal's events into a fresh
+//!   [`ServiceCore`] — the same state machine the live server drives —
+//!   with no network or threads: the regression harness. Because the
+//!   store's eviction order is a deterministic function of the
+//!   submit/snapshot sequence, a sequentially recorded journal replays to
+//!   identical session state and therefore identical fusion inputs.
 //! - [`replay_wire`] replays the journal against a *live* server through
 //!   real [`ApClient`]/[`AppClient`] sessions, optionally at recorded or
 //!   accelerated pacing — a load/soak generator with built-in parity
@@ -23,16 +23,13 @@
 //! fixture is recorded sequentially and must replay divergence-free.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Duration;
 
-use at_config::{SystemConfig, TopologyOp};
-use at_core::health::{HealthTracker, LocalizeError};
-use at_core::{fuse_batch_into, FusedObservation, LocalizationEngine, LocationEstimate};
+use at_config::TopologyOp;
 use at_obs::names;
 use at_serve::{
-    ApClient, AppClient, ClientConfig, ClientError, Encoding, ServiceConfig, SessionPolicy,
-    SessionStore,
+    ApClient, AppClient, ClientConfig, ClientError, Encoding, FuseScratch, ServiceConfig,
+    ServiceCore, SessionPolicy, SessionRef,
 };
 
 use crate::format::{config_fingerprint, Event, JournalError, Outcome};
@@ -86,6 +83,31 @@ impl ReplayReport {
         }
     }
 
+    /// Counts one compared query, recording a divergence unless
+    /// `replayed` reproduces `recorded` bit for bit.
+    fn compare(&mut self, query_seq: u64, key: u64, recorded: &Outcome, replayed: &Outcome) {
+        self.compared += 1;
+        let bits = |o: &Outcome| match *o {
+            Outcome::Fix { x, y, likelihood } => Some([x, y, likelihood].map(f64::to_bits)),
+            _ => None,
+        };
+        let same = match (recorded, replayed) {
+            (Outcome::Failed { error }, Outcome::Failed { error: e }) => error == e,
+            _ => bits(recorded).is_some() && bits(recorded) == bits(replayed),
+        };
+        if !same {
+            self.diverge(
+                query_seq,
+                key,
+                format!(
+                    "recorded {}, replayed {}",
+                    describe_outcome(recorded),
+                    describe_outcome(replayed)
+                ),
+            );
+        }
+    }
+
     fn finish(&mut self) {
         if self.divergences > 0 {
             at_obs::global()
@@ -93,19 +115,6 @@ impl ReplayReport {
                 .add(self.divergences as u64);
         }
     }
-}
-
-fn fix_matches(x: f64, y: f64, likelihood: f64, est: &LocationEstimate) -> bool {
-    x.to_bits() == est.position.x.to_bits()
-        && y.to_bits() == est.position.y.to_bits()
-        && likelihood.to_bits() == est.likelihood.to_bits()
-}
-
-fn describe_fix(est: &LocationEstimate) -> String {
-    format!(
-        "fix ({:?}, {:?}, likelihood {:?})",
-        est.position.x, est.position.y, est.likelihood
-    )
 }
 
 fn describe_outcome(outcome: &Outcome) -> String {
@@ -138,51 +147,33 @@ fn check_config(
             got,
         });
     }
-    // Guard the invariants the store/engine assert on, so a tampered
-    // header surfaces as a typed error instead of a panic.
+    // A tampered header that still fingerprints right must agree with
+    // the deployment; the core then refuses any config it cannot hold.
     if journal.meta.n_aps as usize != service.poses.len()
         || journal.meta.max_resident_spectra != session.max_resident_spectra as u64
-        || journal.meta.max_resident_spectra < journal.meta.n_aps as u64
-        || journal.meta.n_aps == 0
     {
-        return Err(JournalError::Malformed {
-            at: 0,
-            reason: "journal meta inconsistent with deployment",
-        });
+        return Err(inconsistent_meta());
     }
     Ok(())
 }
 
-/// AP ids are validated against the *current epoch's* AP count, not the
-/// epoch-0 count in the journal header — a post-`Add` submit to a new AP
-/// is legal, a post-`Remove` submit to the vanished slot is not.
-fn check_ap(n_aps: usize, seq: u64, ap_id: u32) -> Result<(), JournalError> {
-    if ap_id as usize >= n_aps {
-        return Err(JournalError::BadApId { seq, ap_id });
-    }
-    Ok(())
-}
-
-/// Applies a recorded epoch transition to the replayer's system config,
-/// refusing to continue if the op no longer applies or the resulting
-/// canonical fingerprint disagrees with the recorded pin.
-fn apply_epoch(
-    system: &SystemConfig,
-    op: &TopologyOp,
-    recorded_fingerprint: u64,
-) -> Result<(SystemConfig, at_config::ApMapping), JournalError> {
-    let (next, mapping) = system.apply(op).map_err(|_| JournalError::Malformed {
+fn inconsistent_meta() -> JournalError {
+    JournalError::Malformed {
         at: 0,
-        reason: "recorded epoch op does not apply to the current topology",
-    })?;
-    let got = next.fingerprint();
-    if got != recorded_fingerprint {
+        reason: "journal meta inconsistent with deployment",
+    }
+}
+
+/// Refuses to continue when a re-applied epoch's canonical fingerprint
+/// disagrees with the recorded pin.
+fn check_fingerprint(got: u64, recorded: u64) -> Result<(), JournalError> {
+    if got != recorded {
         return Err(JournalError::ConfigMismatch {
-            expected: recorded_fingerprint,
+            expected: recorded,
             got,
         });
     }
-    Ok((next, mapping))
+    Ok(())
 }
 
 /// Indexes recorded outcomes by the `seq` of their query record.
@@ -197,38 +188,38 @@ fn outcome_index(journal: &Journal) -> HashMap<u64, &Outcome> {
         .collect()
 }
 
-/// Replays a journal through a fresh in-process store + engine + health
-/// tracker, asserting bit-exact parity for every comparable outcome.
+/// Replays a journal through a fresh [`ServiceCore`], asserting bit-exact
+/// parity for every comparable outcome.
 ///
 /// `service` + `session` must be the epoch-0 deployment the journal was
 /// recorded under (checked by canonical fingerprint); recorded
-/// [`Event::Epoch`] transitions are re-applied, re-fingerprinted against
-/// their recorded pin, and the engine/store/health remapped exactly as
-/// the live server did. Never panics on journal content: corrupt records
-/// were already rejected by the reader, and remaining inconsistencies
-/// (out-of-range APs, inconsistent meta, stale epoch ops) return typed
-/// errors.
+/// [`Event::Epoch`] transitions are re-prepared, re-fingerprinted against
+/// their recorded pin, and committed exactly as the live server did.
+/// Reaper-driven time (idle eviction, staleness ticks) replays from
+/// journal events, so the policy's wall-clock knobs are inert here. Never
+/// panics on journal content: corrupt records were already rejected by the
+/// reader, and remaining inconsistencies (out-of-range APs, inconsistent
+/// meta, stale epoch ops) return typed errors.
 pub fn replay_in_process(
     journal: &Journal,
     service: &ServiceConfig,
     session: SessionPolicy,
 ) -> Result<ReplayReport, JournalError> {
     check_config(journal, service, session)?;
-    let mut system = service.to_system(session);
-    let mut engine = LocalizationEngine::for_epoch(&system.poses, system.region, system.bins, 0);
-    // Reaper-driven time (idle eviction, staleness ticks) replays from
-    // journal events, so the policy's wall-clock knobs are inert here.
-    let store = SessionStore::new(system.poses.len(), system.session);
-    let mut health = HealthTracker::new(system.poses.len());
+    let core =
+        ServiceCore::new(service.to_system(session), None).map_err(|_| inconsistent_meta())?;
     let outcomes = outcome_index(journal);
-
     let mut report = ReplayReport {
         truncated_tail: journal.truncated_tail,
         ..ReplayReport::default()
     };
-    let mut results: Vec<Result<LocationEstimate, LocalizeError>> = Vec::with_capacity(1);
+    let mut scratch = FuseScratch::default();
     for record in &journal.records {
         report.records += 1;
+        let bad_ap = |e: at_serve::BadAp| JournalError::BadApId {
+            seq: record.seq,
+            ap_id: e.ap_id,
+        };
         match &record.event {
             Event::Submit {
                 key,
@@ -236,83 +227,36 @@ pub fn replay_in_process(
                 age,
                 spectrum,
             } => {
-                check_ap(system.poses.len(), record.seq, *ap_id)?;
+                core.submit(SessionRef::Keyed(*key), *ap_id, *age, spectrum.clone())
+                    .map_err(bad_ap)?;
                 report.submits += 1;
-                // Mirrors the live admission order: success report, then
-                // store insert.
-                health.report_success(*ap_id as usize);
-                store.submit(*key, *ap_id as usize, *age, Arc::new(spectrum.clone()));
             }
-            Event::Failure { ap_id } => {
-                check_ap(system.poses.len(), record.seq, *ap_id)?;
-                health.report_failure(*ap_id as usize);
-            }
-            Event::Tick => store.advance_tick(),
-            Event::IdleReap { keys } => {
-                for key in keys {
-                    store.clear(*key);
-                }
-            }
+            Event::Failure { ap_id } => core.failure(*ap_id).map_err(bad_ap)?,
+            Event::Tick => core.tick(),
+            Event::IdleReap { keys } => core.evict(keys),
             Event::Epoch {
-                epoch,
-                fingerprint,
-                op,
+                fingerprint, op, ..
             } => {
-                let (next, mapping) = apply_epoch(&system, op, *fingerprint)?;
-                engine = LocalizationEngine::for_epoch(&next.poses, next.region, next.bins, *epoch);
-                store.remap(&mapping.old_to_new, mapping.n_new);
-                health.remap(&mapping.old_to_new, mapping.n_new);
-                system = next;
+                let next = core.prepare(op).map_err(|_| JournalError::Malformed {
+                    at: 0,
+                    reason: "recorded epoch op does not apply to the current topology",
+                })?;
+                check_fingerprint(next.fingerprint(), *fingerprint)?;
+                core.commit(next);
             }
-            Event::Query { key, .. } => {
+            Event::Query { key, deadline_ms } => {
                 report.queries += 1;
-                // Snapshot unconditionally — it advances the store's
-                // touch sequence exactly like the live server did, even
-                // for queries whose outcome is skipped below.
-                let snap = store.snapshot(*key).unwrap_or_default();
+                // Admit unconditionally — the snapshot advances the
+                // store's touch sequence exactly like the live server
+                // did, even for queries whose outcome is skipped below.
+                let query = core.query(SessionRef::Keyed(*key), *deadline_ms);
                 let recorded = outcomes.get(&record.seq).copied();
                 let Some(recorded) = recorded.filter(|o| comparable(o)) else {
                     report.skipped += 1;
                     continue;
                 };
-                let obs: Vec<FusedObservation<'_>> = snap
-                    .iter()
-                    .map(|o| FusedObservation {
-                        pose_idx: o.ap_id as usize,
-                        spectrum: &o.spectrum,
-                        ap_id: Some(o.ap_id as usize),
-                        age: o.age,
-                    })
-                    .collect();
-                fuse_batch_into(
-                    &engine,
-                    &[obs.as_slice()],
-                    &health,
-                    &system.health,
-                    1,
-                    &mut results,
-                );
-                report.compared += 1;
-                match (recorded, results.first()) {
-                    (Outcome::Fix { x, y, likelihood }, Some(Ok(est)))
-                        if fix_matches(*x, *y, *likelihood, est) => {}
-                    (Outcome::Failed { error }, Some(Err(e))) if error == e => {}
-                    (recorded, replayed) => {
-                        let replayed = match replayed {
-                            Some(Ok(est)) => describe_fix(est),
-                            Some(Err(e)) => format!("failed ({e})"),
-                            None => "no result".into(),
-                        };
-                        report.diverge(
-                            record.seq,
-                            *key,
-                            format!(
-                                "recorded {}, replayed {replayed}",
-                                describe_outcome(recorded)
-                            ),
-                        );
-                    }
-                }
+                let replayed = Outcome::of_reply(&core.fuse(&query.obs, &mut scratch));
+                report.compare(record.seq, *key, recorded, &replayed);
             }
             Event::Outcome { .. } => {}
         }
@@ -346,6 +290,14 @@ fn wire_err(e: ClientError) -> JournalError {
     JournalError::Io(std::io::Error::other(format!("wire replay: {e}")))
 }
 
+/// The uplink of AP `ap_id` in the *current* epoch — a post-`Add` submit
+/// to a new AP is legal, a post-`Remove` submit to the vanished slot is
+/// not.
+fn ap_conn(aps: &mut [ApClient], seq: u64, ap_id: u32) -> Result<&mut ApClient, JournalError> {
+    aps.get_mut(ap_id as usize)
+        .ok_or(JournalError::BadApId { seq, ap_id })
+}
+
 /// Replays a journal against a live server at `addr` through real client
 /// sessions: one lossless-uplink [`ApClient`] per recorded AP plus one
 /// [`AppClient`] for queries.
@@ -364,7 +316,6 @@ pub fn replay_wire(
     opts: &WireOptions,
 ) -> Result<ReplayReport, JournalError> {
     check_config(journal, service, session)?;
-    let mut system = service.to_system(session);
     let cfg = ClientConfig::default();
     let mut aps = Vec::with_capacity(journal.meta.n_aps as usize);
     for _ in 0..journal.meta.n_aps {
@@ -397,15 +348,13 @@ pub fn replay_wire(
                 age,
                 spectrum,
             } => {
-                check_ap(aps.len(), record.seq, *ap_id)?;
                 report.submits += 1;
-                aps[*ap_id as usize]
+                ap_conn(&mut aps, record.seq, *ap_id)?
                     .submit(*key, *ap_id, *age, spectrum)
                     .map_err(wire_err)?;
             }
             Event::Failure { ap_id } => {
-                check_ap(aps.len(), record.seq, *ap_id)?;
-                aps[*ap_id as usize]
+                ap_conn(&mut aps, record.seq, *ap_id)?
                     .report_failure(*ap_id)
                     .map_err(wire_err)?;
             }
@@ -415,14 +364,10 @@ pub fn replay_wire(
             Event::Epoch {
                 fingerprint, op, ..
             } => {
-                let (next, _mapping) = apply_epoch(&system, op, *fingerprint)?;
+                // The live server is the authority: it refuses an op that
+                // no longer applies, and must land on the recorded epoch.
                 let info = app.reconfigure(op).map_err(wire_err)?;
-                if info.fingerprint != *fingerprint {
-                    return Err(JournalError::ConfigMismatch {
-                        expected: *fingerprint,
-                        got: info.fingerprint,
-                    });
-                }
+                check_fingerprint(info.fingerprint, *fingerprint)?;
                 // Mirror the AP-process fleet: the removed AP's uplink
                 // goes away, a joining AP dials in fresh.
                 match *op {
@@ -437,7 +382,6 @@ pub fn replay_wire(
                     }
                     TopologyOp::Move { .. } => {}
                 }
-                system = next;
             }
             Event::Query { key, .. } => {
                 report.queries += 1;
@@ -446,29 +390,20 @@ pub fn replay_wire(
                     report.skipped += 1;
                     continue;
                 };
-                report.compared += 1;
-                match (recorded, app.localize(*key, None)) {
-                    (Outcome::Fix { x, y, likelihood }, Ok(fix))
-                        if fix_matches(*x, *y, *likelihood, &fix.estimate()) => {}
-                    (Outcome::Failed { error }, Err(ClientError::Localize(e))) if *error == e => {}
-                    (_, Err(ClientError::Io(e))) => return Err(wire_err(ClientError::Io(e))),
-                    (_, Err(e @ ClientError::Protocol(_)))
-                    | (_, Err(e @ ClientError::Unexpected(_))) => return Err(wire_err(e)),
-                    (recorded, replayed) => {
-                        let replayed = match replayed {
-                            Ok(fix) => describe_fix(&fix.estimate()),
-                            Err(e) => format!("error ({e})"),
-                        };
-                        report.diverge(
-                            record.seq,
-                            *key,
-                            format!(
-                                "recorded {}, replayed {replayed}",
-                                describe_outcome(recorded)
-                            ),
-                        );
-                    }
-                }
+                let replayed = match app.localize(*key, None) {
+                    Ok(fix) => Outcome::Fix {
+                        x: fix.position.x,
+                        y: fix.position.y,
+                        likelihood: fix.likelihood,
+                    },
+                    Err(ClientError::Localize(error)) => Outcome::Failed { error },
+                    Err(ClientError::Overloaded { .. }) => Outcome::Overloaded,
+                    Err(ClientError::DeadlineExceeded) => Outcome::DeadlineExceeded,
+                    Err(ClientError::ShuttingDown) => Outcome::ShuttingDown,
+                    // Transport and protocol failures abort the replay.
+                    Err(e) => return Err(wire_err(e)),
+                };
+                report.compare(record.seq, *key, recorded, &replayed);
             }
         }
     }

@@ -258,25 +258,10 @@ impl RecordTap for Recorder {
     }
 
     fn outcome(&self, query_seq: u64, reply: &Frame) {
-        let outcome = match reply {
-            Frame::Fix {
-                x, y, likelihood, ..
-            } => Outcome::Fix {
-                x: *x,
-                y: *y,
-                likelihood: *likelihood,
-            },
-            Frame::Failed { error } => Outcome::Failed {
-                error: error.clone(),
-            },
-            Frame::Overloaded { .. } => Outcome::Overloaded,
-            Frame::DeadlineExceeded => Outcome::DeadlineExceeded,
-            Frame::ShuttingDown => Outcome::ShuttingDown,
-            // The localize path produces no other reply; journal anything
-            // unexpected as a shed so the record count still balances.
-            _ => Outcome::Overloaded,
-        };
-        self.append(Event::Outcome { query_seq, outcome });
+        self.append(Event::Outcome {
+            query_seq,
+            outcome: Outcome::of_reply(reply),
+        });
     }
 
     fn tick(&self) {

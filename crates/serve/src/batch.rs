@@ -1,14 +1,11 @@
 //! Request batching: coalescing localize requests that arrive close
-//! together into one engine sweep.
+//! together into one hand-off to a fusion worker, which fuses them back
+//! to back on one warm scratch and the shared epoch engine.
 //!
-//! The localization engine's per-query cost is dominated by the coarse
-//! grid sweep; queries against the *same* deployment share every
-//! precomputed table, so running `k` of them through
-//! [`at_core::fuse_batch`] costs far less than `k` independent walks
-//! through the full server. The batcher therefore holds the first request
-//! of a batch for at most [`BatchPolicy::window`], absorbing whatever else
-//! arrives in that window (up to [`BatchPolicy::max_batch`]), and hands
-//! the group downstream as one unit. Under light load the window is the
+//! The batcher holds the first request of a batch for at most
+//! [`BatchPolicy::window`], absorbing whatever else arrives in that window
+//! (up to [`BatchPolicy::max_batch`]), and hands the group downstream as
+//! one unit. Under light load the window is the
 //! only added latency; under heavy load batches fill instantly and the
 //! window never expires.
 

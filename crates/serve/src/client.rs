@@ -19,7 +19,7 @@
 //! - [`AppClient`] — the query role: an application connection localizing
 //!   a key's store-resident spectra (v2).
 
-use crate::codec::Encoding;
+use crate::codec::{CompressedMode, Encoding};
 use crate::proto::{self, ApHealthReport, ClientKey, Frame, ReadError};
 use at_channel::geometry::Point;
 use at_core::health::LocalizeError;
@@ -235,15 +235,7 @@ impl Client {
         age: u64,
         spectrum: &at_core::AoaSpectrum,
     ) -> Result<u32, ClientError> {
-        let reply = self.request(&Frame::SubmitSpectrum {
-            ap_id,
-            age,
-            spectrum: spectrum.clone(),
-        })?;
-        match Self::common(reply)? {
-            Frame::SubmitAck { observations } => Ok(observations),
-            _ => Err(ClientError::Unexpected("wanted SubmitAck")),
-        }
+        self.submit_frame(None, ap_id, age, None, spectrum)
     }
 
     /// Submits a spectrum compressed with `mode` into this connection's
@@ -253,10 +245,23 @@ impl Client {
         &mut self,
         ap_id: u32,
         age: u64,
-        mode: crate::codec::CompressedMode,
+        mode: CompressedMode,
         spectrum: &at_core::AoaSpectrum,
     ) -> Result<u32, ClientError> {
-        let reply = self.request(&Frame::SubmitCompressed {
+        self.submit_frame(None, ap_id, age, Some(mode), spectrum)
+    }
+
+    /// One [`Frame::Submit`] exchange; returns the acked observation count.
+    fn submit_frame(
+        &mut self,
+        key: Option<ClientKey>,
+        ap_id: u32,
+        age: u64,
+        mode: Option<CompressedMode>,
+        spectrum: &at_core::AoaSpectrum,
+    ) -> Result<u32, ClientError> {
+        let reply = self.request(&Frame::Submit {
+            key,
             ap_id,
             age,
             mode,
@@ -408,15 +413,15 @@ fn deadline_to_ms(deadline: Option<Duration>) -> u32 {
 /// spectra into the server's session store.
 ///
 /// One `ApClient` is one AP process from the paper's Figure 1 deployment:
-/// it connects once and then streams `SubmitKeyed` frames for every client
+/// it connects once and then streams keyed submit frames for every client
 /// key it observes. The first keyed frame types the connection as an
 /// ingestion peer server-side; issuing queries from it is a role violation
 /// the server rejects (use [`AppClient`] for those).
 ///
 /// The `encoding` policy picks the uplink wire form:
-/// [`Encoding::Raw`] sends v2 `SubmitKeyed` frames (every server),
-/// [`Encoding::Quantized`] / [`Encoding::LosslessDelta`] send v3
-/// `SubmitCompressedKeyed` frames (~10× / ~1.5× smaller). A pre-v3
+/// [`Encoding::Raw`] sends v2 keyed raw submit frames (every server),
+/// [`Encoding::Quantized`] / [`Encoding::LosslessDelta`] send v3 keyed
+/// compressed ones (~10× / ~1.5× smaller). A pre-v3
 /// server answers the first compressed frame with a `ProtocolError` and
 /// hangs up — the client detects that, reconnects, downgrades itself to
 /// raw, and resubmits, so a fleet rollout never needs the APs and the
@@ -453,11 +458,6 @@ impl ApClient {
         self.encoding
     }
 
-    /// Changes the uplink encoding for subsequent submissions.
-    pub fn set_encoding(&mut self, encoding: Encoding) {
-        self.encoding = encoding;
-    }
-
     /// True when the error pattern-matches "the server does not speak
     /// this frame": a `ProtocolError` reply (a courteous old server
     /// reports the undecodable version before closing) or a hangup
@@ -491,15 +491,12 @@ impl ApClient {
         age: u64,
         spectrum: &at_core::AoaSpectrum,
     ) -> Result<u32, ClientError> {
+        let key = Some(key);
         if let Some(mode) = self.encoding.mode() {
-            let frame = Frame::SubmitCompressedKeyed {
-                key,
-                ap_id,
-                age,
-                mode,
-                spectrum: spectrum.clone(),
-            };
-            match self.submit_frame(&frame) {
+            match self
+                .inner
+                .submit_frame(key, ap_id, age, Some(mode), spectrum)
+            {
                 Err(e) if Self::version_rejection(&e) => {
                     // The server dropped the connection with the refusal;
                     // dial again and fall back to the raw wire form.
@@ -509,20 +506,7 @@ impl ApClient {
                 other => return other,
             }
         }
-        self.submit_frame(&Frame::SubmitKeyed {
-            key,
-            ap_id,
-            age,
-            spectrum: spectrum.clone(),
-        })
-    }
-
-    fn submit_frame(&mut self, frame: &Frame) -> Result<u32, ClientError> {
-        let reply = self.inner.request(frame)?;
-        match Client::common(reply)? {
-            Frame::SubmitAck { observations } => Ok(observations),
-            _ => Err(ClientError::Unexpected("wanted SubmitAck")),
-        }
+        self.inner.submit_frame(key, ap_id, age, None, spectrum)
     }
 
     /// Reports a failed acquisition from AP `ap_id` (drives the shared

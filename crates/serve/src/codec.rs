@@ -1,5 +1,5 @@
 //! `SpectrumCodec`: the wire-level spectrum compression behind protocol
-//! v3's `SubmitCompressed` frames.
+//! v3's compressed submit frames.
 //!
 //! A 720-bin spectrum costs 5.7 KB as raw `f64` bins — the dominant AP
 //! uplink cost once six AP processes fan into one server. Pseudospectra
@@ -31,7 +31,7 @@
 //! Quantization is **idempotent**: compressing an already-dequantized
 //! spectrum reproduces the same codes (the peak bin always maps to the
 //! top code, so the stored peak value is exact), which is what lets a
-//! decoded [`crate::proto::Frame::SubmitCompressed`] re-encode to the
+//! decoded compressed [`crate::proto::Frame::Submit`] re-encode to the
 //! same bytes.
 
 use crate::proto::MAX_BINS;

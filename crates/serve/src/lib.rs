@@ -13,22 +13,24 @@
 //!   AP uplink (~10× smaller), plus a lossless XOR-delta mode for
 //!   bit-exact replay; the decompressor is total like the frame decoder;
 //! - [`queue`] — bounded closing queues, the backpressure primitive;
-//! - [`batch`] — the coalescing window that turns concurrent localize
-//!   requests into one shared-engine sweep;
-//! - [`server`] — the thread-pool TCP server: admission control that
-//!   sheds load with typed `Overloaded` frames instead of queuing
-//!   unboundedly, client-propagated deadlines enforced before the
+//! - [`batch`] — the coalescing window that hands concurrent localize
+//!   requests to a worker as one unit;
+//! - [`service`] — [`ServiceCore`], the state machine (epoch, session
+//!   [`store`], AP health, capture tap) that the server drives live and
+//!   `at-replay` drives from a journal;
+//! - [`server`] — the thread-pool TCP server around that core: admission
+//!   control that sheds load with typed `Overloaded` frames instead of
+//!   queuing unboundedly, client-propagated deadlines enforced before the
 //!   expensive stages, request batching, and drain-then-stop shutdown;
 //! - [`client`] — a blocking client with the same bounded-attempts retry
 //!   discipline as the testbed's acquisition layer.
 //!
-//! The server fuses through [`at_core::plan_fusion`] /
-//! [`at_core::execute_fusion`] — the exact code path behind the in-process
-//! `ArrayTrackServer::try_localize` — so a networked fix is bit-exact with
-//! the in-process one and degraded deployments keep their typed
-//! `LocalizeError`/health semantics across the wire. Every stage records
-//! into `at-obs` (queue-depth gauges, shed and deadline-miss counters,
-//! `serve_*` stage histograms).
+//! The core fuses through [`at_core::fuse_with_scratch`], the path behind
+//! the in-process `ArrayTrackServer::try_localize`, so a networked fix is
+//! bit-exact with the in-process one and degraded deployments keep their
+//! typed `LocalizeError`/health semantics across the wire. Every stage
+//! records into `at-obs` (queue-depth gauges, shed and deadline-miss
+//! counters, `serve_*` stage histograms).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +41,7 @@ pub mod codec;
 pub mod proto;
 pub mod queue;
 pub mod server;
+pub mod service;
 pub mod store;
 
 pub use batch::{AdaptivePolicy, BatchController, BatchPolicy, BATCH_WINDOW_GAUGE};
@@ -47,7 +50,8 @@ pub use client::{
 };
 pub use codec::{CodecError, CompressedMode, Encoding};
 pub use proto::{ApHealthReport, ClientKey, DecodeError, Frame, ReadError};
-pub use server::{
-    spawn, spawn_recorded, RecordTap, ServeConfig, ServerHandle, ServiceConfig, StatsSnapshot,
+pub use server::{spawn, spawn_recorded, ServeConfig, ServerHandle, ServiceConfig, StatsSnapshot};
+pub use service::{
+    BadAp, FuseScratch, LegacySession, PreparedEpoch, Query, RecordTap, ServiceCore, SessionRef,
 };
 pub use store::{KeyedObs, SessionPolicy, SessionStore, StoreStats};

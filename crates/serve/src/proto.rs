@@ -9,19 +9,18 @@
 //! corrupt peer cannot take the server down (the `proto_proptests` suite
 //! fuzzes this over random, truncated, and bit-flipped frames).
 //!
-//! Client → server frames: [`Frame::SubmitSpectrum`],
-//! [`Frame::ReportFailure`], [`Frame::Localize`], [`Frame::ClearSession`],
-//! [`Frame::Ping`], and — version 2, the multi-process deployment split —
-//! [`Frame::SubmitKeyed`] (AP ingestion role: a spectrum tagged with the
-//! [`ClientKey`] it belongs to) and [`Frame::LocalizeKey`] (application
-//! query role: localize whatever the server's session store holds for a
-//! key) — and, version 3, the compressed uplink:
-//! [`Frame::SubmitCompressed`] and [`Frame::SubmitCompressedKeyed`],
-//! whose spectra travel as [`crate::codec`] blobs (16-bit log-domain
-//! quantized, or lossless XOR-delta for bit-exact replay) instead of raw
-//! `f64` bins — and, version 4, the read-only, role-neutral metrics
-//! scrape [`Frame::MetricsQuery`] answered with
-//! [`Frame::MetricsReport`]. Server → client frames: [`Frame::SubmitAck`],
+//! Client → server frames: [`Frame::Submit`], [`Frame::ReportFailure`],
+//! [`Frame::Localize`], [`Frame::ClearSession`], [`Frame::Ping`], and —
+//! version 2, the multi-process deployment split — [`Frame::LocalizeKey`]
+//! (application query role: localize whatever the server's session store
+//! holds for a key) — and, version 4, the read-only, role-neutral metrics
+//! scrape [`Frame::MetricsQuery`] answered with [`Frame::MetricsReport`].
+//! [`Frame::Submit`] is one decoded frame for four type bytes: unkeyed
+//! raw (v1), keyed raw (v2: the AP ingestion role, a spectrum tagged with
+//! the [`ClientKey`] it belongs to), and their compressed twins (v3), whose
+//! spectra travel as [`crate::codec`] blobs (16-bit log-domain quantized,
+//! or lossless XOR-delta for bit-exact replay) instead of raw `f64` bins.
+//! Server → client frames: [`Frame::SubmitAck`],
 //! [`Frame::Fix`], [`Frame::Failed`], [`Frame::Overloaded`],
 //! [`Frame::DeadlineExceeded`], [`Frame::Pong`], [`Frame::ProtocolError`],
 //! [`Frame::ShuttingDown`]. Every submission path — raw or compressed —
@@ -49,12 +48,12 @@ use std::io::{self, Read, Write};
 pub const MAGIC: [u8; 2] = *b"AT";
 
 /// Current protocol version. Version 2 added the keyed ingestion/query
-/// split ([`Frame::SubmitKeyed`], [`Frame::LocalizeKey`]); version 3
-/// added the compressed uplink ([`Frame::SubmitCompressed`],
-/// [`Frame::SubmitCompressedKeyed`]); version 4 added the read-only
-/// metrics scrape ([`Frame::MetricsQuery`], [`Frame::MetricsReport`]);
-/// version 5 added live topology administration ([`Frame::Reconfigure`],
-/// [`Frame::TopologyQuery`], [`Frame::TopologyInfo`]).
+/// split (keyed [`Frame::Submit`], [`Frame::LocalizeKey`]); version 3
+/// added the compressed uplink (compressed [`Frame::Submit`]); version 4
+/// added the read-only metrics scrape ([`Frame::MetricsQuery`],
+/// [`Frame::MetricsReport`]); version 5 added live topology
+/// administration ([`Frame::Reconfigure`], [`Frame::TopologyQuery`],
+/// [`Frame::TopologyInfo`]).
 /// Versions outside [`MIN_VERSION`]`..=`[`VERSION`] are rejected with
 /// [`DecodeError::BadVersion`] so incompatible peers fail loudly, not
 /// subtly.
@@ -65,8 +64,8 @@ pub const VERSION: u8 = 5;
 pub const MIN_VERSION: u8 = 1;
 
 /// Identifies one tracked client across AP ingestion connections and
-/// application query connections: six AP processes stream
-/// [`Frame::SubmitKeyed`] spectra for the keys they hear, applications
+/// application query connections: six AP processes stream keyed
+/// [`Frame::Submit`] spectra for the keys they hear, applications
 /// ask [`Frame::LocalizeKey`] about the keys they care about, and the
 /// server's session store joins the two on this value.
 pub type ClientKey = u64;
@@ -99,14 +98,32 @@ pub struct ApHealthReport {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
     /// Client → server: a processed AoA spectrum from deployment AP
-    /// `ap_id`, `age` refresh intervals old, for this connection's
-    /// session. Acknowledged with [`Frame::SubmitAck`].
-    SubmitSpectrum {
+    /// `ap_id`, `age` refresh intervals old. Acknowledged with
+    /// [`Frame::SubmitAck`]. One decoded frame covers four type bytes:
+    ///
+    /// | `key` | `mode` | type | version |
+    /// |---|---|---|---|
+    /// | `None` | `None` | `0x01` | 1 |
+    /// | `Some` | `None` | `0x06` | 2 |
+    /// | `None` | `Some` | `0x08` | 3 |
+    /// | `Some` | `Some` | `0x09` | 3 |
+    ///
+    /// Keyed, the spectrum replaces that AP's previous one for `key` in
+    /// the server's session store; unkeyed, it joins this connection's
+    /// private (v1) session. The ack carries the session's count.
+    Submit {
+        /// The tracked client (`None` = this connection's own session).
+        key: Option<ClientKey>,
         /// Deployment AP index the spectrum came from.
         ap_id: u32,
-        /// Spectrum age in server refresh intervals (0 = fresh).
+        /// Spectrum age in server refresh intervals at submission
+        /// (0 = fresh); the store ages keyed spectra further.
         age: u64,
-        /// The spectrum itself (validated on decode).
+        /// The codec layout of the wire blob (`None` = raw `f64` bins).
+        mode: Option<CompressedMode>,
+        /// The spectrum as the wire delivers it (validated on decode):
+        /// for [`CompressedMode::Quantized`] the grid-snapped
+        /// ([`codec::quantized`]) spectrum, otherwise bit-exact.
         spectrum: AoaSpectrum,
     },
     /// Client → server: AP `ap_id` failed to acquire this interval
@@ -135,23 +152,6 @@ pub enum Frame {
         /// Echo token.
         token: u64,
     },
-    /// AP process → server (version 2): a processed AoA spectrum for
-    /// tracked client `key`, heard by deployment AP `ap_id`. Lands in the
-    /// server's session store (replacing that AP's previous spectrum for
-    /// the key atomically) rather than in this connection's private
-    /// session; acknowledged with [`Frame::SubmitAck`] carrying the
-    /// key's resident spectrum count.
-    SubmitKeyed {
-        /// The tracked client this spectrum belongs to.
-        key: ClientKey,
-        /// Deployment AP index the spectrum came from.
-        ap_id: u32,
-        /// Spectrum age in server refresh intervals at submission
-        /// (0 = fresh); the store ages it further as intervals pass.
-        age: u64,
-        /// The spectrum itself (validated on decode).
-        spectrum: AoaSpectrum,
-    },
     /// Application → server (version 2): localize tracked client `key`
     /// from whatever spectra the session store currently holds for it.
     /// Deadline semantics match [`Frame::Localize`].
@@ -160,39 +160,6 @@ pub enum Frame {
         key: ClientKey,
         /// Relative deadline in milliseconds (0 = none).
         deadline_ms: u32,
-    },
-    /// Client → server (version 3): [`Frame::SubmitSpectrum`] with the
-    /// spectrum as a [`crate::codec`] blob instead of raw `f64` bins.
-    /// The spectrum held here is what the wire delivers: for
-    /// [`CompressedMode::Quantized`] that is the grid-snapped
-    /// ([`codec::quantized`]) spectrum, for
-    /// [`CompressedMode::Lossless`] the bit-exact original.
-    SubmitCompressed {
-        /// Deployment AP index the spectrum came from.
-        ap_id: u32,
-        /// Spectrum age in server refresh intervals (0 = fresh).
-        age: u64,
-        /// Which codec layout the blob uses.
-        mode: CompressedMode,
-        /// The spectrum as decoded from (or to be encoded into) the
-        /// compressed blob.
-        spectrum: AoaSpectrum,
-    },
-    /// AP process → server (version 3): [`Frame::SubmitKeyed`] with a
-    /// compressed spectrum — the high-volume uplink frame the codec
-    /// exists for.
-    SubmitCompressedKeyed {
-        /// The tracked client this spectrum belongs to.
-        key: ClientKey,
-        /// Deployment AP index the spectrum came from.
-        ap_id: u32,
-        /// Spectrum age in server refresh intervals at submission.
-        age: u64,
-        /// Which codec layout the blob uses.
-        mode: CompressedMode,
-        /// The spectrum as decoded from (or to be encoded into) the
-        /// compressed blob.
-        spectrum: AoaSpectrum,
     },
     /// Server → client: submission accepted; `observations` is the
     /// session's accumulated spectrum count.
@@ -499,15 +466,17 @@ fn min_version_for(ty: u8) -> Option<u8> {
 impl Frame {
     fn type_byte(&self) -> u8 {
         match self {
-            Frame::SubmitSpectrum { .. } => ft::SUBMIT,
+            Frame::Submit { key, mode, .. } => match (key.is_some(), mode.is_some()) {
+                (false, false) => ft::SUBMIT,
+                (true, false) => ft::SUBMIT_KEYED,
+                (false, true) => ft::SUBMIT_COMPRESSED,
+                (true, true) => ft::SUBMIT_COMPRESSED_KEYED,
+            },
             Frame::ReportFailure { .. } => ft::REPORT_FAILURE,
             Frame::Localize { .. } => ft::LOCALIZE,
             Frame::ClearSession => ft::CLEAR,
             Frame::Ping { .. } => ft::PING,
-            Frame::SubmitKeyed { .. } => ft::SUBMIT_KEYED,
             Frame::LocalizeKey { .. } => ft::LOCALIZE_KEY,
-            Frame::SubmitCompressed { .. } => ft::SUBMIT_COMPRESSED,
-            Frame::SubmitCompressedKeyed { .. } => ft::SUBMIT_COMPRESSED_KEYED,
             Frame::SubmitAck { .. } => ft::SUBMIT_ACK,
             Frame::Fix { .. } => ft::FIX,
             Frame::Failed { .. } => ft::FAILED,
@@ -540,57 +509,31 @@ impl Frame {
         push_u32(out, 0); // payload length, patched below
         let payload_at = out.len();
         match self {
-            Frame::SubmitSpectrum {
-                ap_id,
-                age,
-                spectrum,
-            } => {
-                push_u32(out, *ap_id);
-                push_u64(out, *age);
-                push_u32(out, spectrum.bins() as u32);
-                for v in spectrum.values() {
-                    push_f64(out, *v);
-                }
-            }
-            Frame::SubmitKeyed {
+            Frame::Submit {
                 key,
                 ap_id,
                 age,
+                mode,
                 spectrum,
             } => {
-                push_u64(out, *key);
+                if let Some(key) = key {
+                    push_u64(out, *key);
+                }
                 push_u32(out, *ap_id);
                 push_u64(out, *age);
-                push_u32(out, spectrum.bins() as u32);
-                for v in spectrum.values() {
-                    push_f64(out, *v);
+                match mode {
+                    None => {
+                        push_u32(out, spectrum.bins() as u32);
+                        for v in spectrum.values() {
+                            push_f64(out, *v);
+                        }
+                    }
+                    Some(mode) => codec::compress_into(out, spectrum, *mode),
                 }
             }
             Frame::LocalizeKey { key, deadline_ms } => {
                 push_u64(out, *key);
                 push_u32(out, *deadline_ms);
-            }
-            Frame::SubmitCompressed {
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            } => {
-                push_u32(out, *ap_id);
-                push_u64(out, *age);
-                codec::compress_into(out, spectrum, *mode);
-            }
-            Frame::SubmitCompressedKeyed {
-                key,
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            } => {
-                push_u64(out, *key);
-                push_u32(out, *ap_id);
-                push_u64(out, *age);
-                codec::compress_into(out, spectrum, *mode);
             }
             Frame::ReportFailure { ap_id } => push_u32(out, *ap_id),
             Frame::Localize { deadline_ms } => push_u32(out, *deadline_ms),
@@ -731,25 +674,28 @@ fn decode_payload(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, DecodeEr
     }
     let mut c = Cur::new(payload);
     let frame = match ty {
-        ft::SUBMIT => {
+        ft::SUBMIT | ft::SUBMIT_KEYED | ft::SUBMIT_COMPRESSED | ft::SUBMIT_COMPRESSED_KEYED => {
+            let key = match ty {
+                ft::SUBMIT_KEYED | ft::SUBMIT_COMPRESSED_KEYED => {
+                    Some(c.u64().ok_or(mal("truncated key"))?)
+                }
+                _ => None,
+            };
             let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
             let age = c.u64().ok_or(mal("truncated age"))?;
-            let spectrum = decode_spectrum(&mut c, &mal)?;
-            Frame::SubmitSpectrum {
-                ap_id,
-                age,
-                spectrum,
-            }
-        }
-        ft::SUBMIT_KEYED => {
-            let key = c.u64().ok_or(mal("truncated key"))?;
-            let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
-            let age = c.u64().ok_or(mal("truncated age"))?;
-            let spectrum = decode_spectrum(&mut c, &mal)?;
-            Frame::SubmitKeyed {
+            let (mode, spectrum) = match ty {
+                ft::SUBMIT | ft::SUBMIT_KEYED => (None, decode_spectrum(&mut c, &mal)?),
+                _ => {
+                    let (mode, spectrum) =
+                        codec::decompress(c.rest()).map_err(|e| mal(e.reason()))?;
+                    (Some(mode), spectrum)
+                }
+            };
+            Frame::Submit {
                 key,
                 ap_id,
                 age,
+                mode,
                 spectrum,
             }
         }
@@ -757,30 +703,6 @@ fn decode_payload(version: u8, ty: u8, payload: &[u8]) -> Result<Frame, DecodeEr
             key: c.u64().ok_or(mal("truncated key"))?,
             deadline_ms: c.u32().ok_or(mal("truncated deadline"))?,
         },
-        ft::SUBMIT_COMPRESSED => {
-            let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
-            let age = c.u64().ok_or(mal("truncated age"))?;
-            let (mode, spectrum) = codec::decompress(c.rest()).map_err(|e| mal(e.reason()))?;
-            Frame::SubmitCompressed {
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            }
-        }
-        ft::SUBMIT_COMPRESSED_KEYED => {
-            let key = c.u64().ok_or(mal("truncated key"))?;
-            let ap_id = c.u32().ok_or(mal("truncated ap_id"))?;
-            let age = c.u64().ok_or(mal("truncated age"))?;
-            let (mode, spectrum) = codec::decompress(c.rest()).map_err(|e| mal(e.reason()))?;
-            Frame::SubmitCompressedKeyed {
-                key,
-                ap_id,
-                age,
-                mode,
-                spectrum,
-            }
-        }
         ft::REPORT_FAILURE => Frame::ReportFailure {
             ap_id: c.u32().ok_or(mal("truncated ap_id"))?,
         },
@@ -1061,51 +983,34 @@ mod tests {
         AoaSpectrum::from_fn(720, |t| (t.sin().abs() + 0.25) * 3.5)
     }
 
+    fn submit(
+        key: Option<ClientKey>,
+        mode: Option<CompressedMode>,
+        spectrum: AoaSpectrum,
+    ) -> Frame {
+        Frame::Submit {
+            key,
+            ap_id: 2,
+            age: 3,
+            mode,
+            spectrum,
+        }
+    }
+
     #[test]
     fn all_frame_types_roundtrip_bit_exact() {
-        roundtrip(Frame::SubmitSpectrum {
-            ap_id: 3,
-            age: 7,
-            spectrum: spectrum(),
-        });
-        roundtrip(Frame::SubmitKeyed {
-            key: 0x0123_4567_89AB_CDEF,
-            ap_id: 5,
-            age: 1,
-            spectrum: spectrum(),
-        });
+        // Every submit encoding. Lossless frames round-trip any spectrum
+        // bit-exactly; quantized frames round-trip grid-snapped spectra
+        // (quantization is idempotent, so construct on the grid).
+        for key in [None, Some(0x0123_4567_89AB_CDEF)] {
+            roundtrip(submit(key, None, spectrum()));
+            roundtrip(submit(key, Some(CompressedMode::Lossless), spectrum()));
+            let snapped = codec::quantized(&spectrum());
+            roundtrip(submit(key, Some(CompressedMode::Quantized), snapped));
+        }
         roundtrip(Frame::LocalizeKey {
             key: 42,
             deadline_ms: 75,
-        });
-        // Lossless compressed frames round-trip any spectrum bit-exactly;
-        // quantized frames round-trip grid-snapped spectra bit-exactly
-        // (quantization is idempotent, so construct on the grid).
-        roundtrip(Frame::SubmitCompressed {
-            ap_id: 1,
-            age: 3,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        });
-        roundtrip(Frame::SubmitCompressed {
-            ap_id: 1,
-            age: 3,
-            mode: CompressedMode::Quantized,
-            spectrum: codec::quantized(&spectrum()),
-        });
-        roundtrip(Frame::SubmitCompressedKeyed {
-            key: 0xFEED_F00D,
-            ap_id: 4,
-            age: 0,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        });
-        roundtrip(Frame::SubmitCompressedKeyed {
-            key: 0xFEED_F00D,
-            ap_id: 4,
-            age: 0,
-            mode: CompressedMode::Quantized,
-            spectrum: codec::quantized(&spectrum()),
         });
         roundtrip(Frame::ReportFailure { ap_id: 2 });
         roundtrip(Frame::Localize { deadline_ms: 150 });
@@ -1207,17 +1112,14 @@ mod tests {
     /// refactor of the frame types must leave all of these untouched.
     #[test]
     fn submit_and_localize_wire_bytes_are_pinned() {
+        const KEY: ClientKey = 0x0102_0304_0506_0708;
         // 8 bins on the quantizer's grid, so every encoding round-trips.
         let s = codec::quantized(&AoaSpectrum::from_values(vec![
             0.0, 0.5, 1.0, 2.0, 4.0, 3.0, 0.25, 1.5,
         ]));
         let cases: [(Frame, &str); 6] = [
             (
-                Frame::SubmitSpectrum {
-                    ap_id: 2,
-                    age: 3,
-                    spectrum: s.clone(),
-                },
+                submit(None, None, s.clone()),
                 concat!(
                     "4154010150000000020000000300000000000000080000000000000000000000",
                     "1c834da0bdffdf3fa86024c0d3ffef3f5b8a0ae0e9ffff3f0000000000001040",
@@ -1225,12 +1127,7 @@ mod tests {
                 ),
             ),
             (
-                Frame::SubmitKeyed {
-                    key: 0x0102_0304_0506_0708,
-                    ap_id: 2,
-                    age: 3,
-                    spectrum: s.clone(),
-                },
+                submit(Some(KEY), None, s.clone()),
                 concat!(
                     "4154020658000000080706050403020102000000030000000000000008000000",
                     "00000000000000001c834da0bdffdf3fa86024c0d3ffef3f5b8a0ae0e9ffff3f",
@@ -1238,25 +1135,14 @@ mod tests {
                 ),
             ),
             (
-                Frame::SubmitCompressed {
-                    ap_id: 2,
-                    age: 3,
-                    mode: CompressedMode::Quantized,
-                    spectrum: s.clone(),
-                },
+                submit(None, Some(CompressedMode::Quantized), s.clone()),
                 concat!(
                     "415403082a000000020000000300000000000000010800000000000000000010",
                     "400000f6b207d819d819d819d30a8b5cb442",
                 ),
             ),
             (
-                Frame::SubmitCompressedKeyed {
-                    key: 0x0102_0304_0506_0708,
-                    ap_id: 2,
-                    age: 3,
-                    mode: CompressedMode::Lossless,
-                    spectrum: s.clone(),
-                },
+                submit(Some(KEY), Some(CompressedMode::Lossless), s.clone()),
                 concat!(
                     "415403095c000000080706050403020102000000030000000000000002080000",
                     "0000000000000000009c86b682daf7ffef3fb4c7a783e68d8018f3d5bb81a287",
@@ -1270,18 +1156,15 @@ mod tests {
             ),
             (
                 Frame::LocalizeKey {
-                    key: 0x0102_0304_0506_0708,
+                    key: KEY,
                     deadline_ms: 250,
                 },
                 "415402070c0000000807060504030201fa000000",
             ),
         ];
         for (frame, golden) in cases {
-            let bytes = frame.encode();
-            assert_eq!(hex(&bytes), golden, "{frame:?}");
-            let (decoded, used) = decode(&bytes).expect("valid").expect("complete");
-            assert_eq!(used, bytes.len());
-            assert_eq!(decoded, frame);
+            assert_eq!(hex(&frame.encode()), golden, "{frame:?}");
+            roundtrip(frame);
         }
     }
 
@@ -1422,13 +1305,8 @@ mod tests {
         // Compressed frames declare v3 on the wire; the same bytes under
         // a v1 or v2 header are the typed VersionGated error — never a
         // misparse, never accepted.
-        let mut bytes = Frame::SubmitCompressed {
-            ap_id: 0,
-            age: 0,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        }
-        .encode();
+        let pristine = submit(None, Some(CompressedMode::Lossless), spectrum()).encode();
+        let mut bytes = pristine.clone();
         assert_eq!(bytes[2], 3);
         for old in [1, 2] {
             bytes[2] = old;
@@ -1442,13 +1320,7 @@ mod tests {
             );
         }
         // A corrupt codec blob under the right version is Malformed.
-        let mut bytes = Frame::SubmitCompressed {
-            ap_id: 0,
-            age: 0,
-            mode: CompressedMode::Lossless,
-            spectrum: spectrum(),
-        }
-        .encode();
+        let mut bytes = pristine;
         bytes[HEADER_LEN + 12] = 0xBB; // clobber the codec mode byte
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
     }
@@ -1456,22 +1328,13 @@ mod tests {
     #[test]
     fn hostile_spectra_are_rejected() {
         // NaN values must not reach AoaSpectrum::from_values.
-        let mut bytes = Frame::SubmitSpectrum {
-            ap_id: 0,
-            age: 0,
-            spectrum: spectrum(),
-        }
-        .encode();
+        let pristine = submit(None, None, spectrum()).encode();
+        let mut bytes = pristine.clone();
         let nan = f64::NAN.to_bits().to_le_bytes();
         bytes[HEADER_LEN + 16..HEADER_LEN + 24].copy_from_slice(&nan);
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
         // A bin count that disagrees with the payload is malformed.
-        let mut bytes = Frame::SubmitSpectrum {
-            ap_id: 0,
-            age: 0,
-            spectrum: spectrum(),
-        }
-        .encode();
+        let mut bytes = pristine;
         bytes[HEADER_LEN + 12..HEADER_LEN + 16].copy_from_slice(&10_000u32.to_le_bytes());
         assert!(matches!(decode(&bytes), Err(DecodeError::Malformed { .. })));
     }

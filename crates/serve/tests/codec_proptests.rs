@@ -151,18 +151,19 @@ proptest! {
     ) {
         let spectrum = scrambled_spectrum(64, seed, 6.0);
         let frame = if keyed_pick == 1 {
-            Frame::SubmitCompressedKeyed {
-                key,
+            Frame::Submit {
+                key: Some(key),
                 ap_id,
                 age,
-                mode: CompressedMode::Quantized,
+                mode: Some(CompressedMode::Quantized),
                 spectrum,
             }
         } else {
-            Frame::SubmitCompressed {
+            Frame::Submit {
+                key: None,
                 ap_id,
                 age,
-                mode: CompressedMode::Lossless,
+                mode: Some(CompressedMode::Lossless),
                 spectrum,
             }
         };
@@ -188,10 +189,11 @@ proptest! {
         flip_frac in 0.0f64..1.0,
         flip_bit in 0u8..8,
     ) {
-        let frame = Frame::SubmitCompressed {
+        let frame = Frame::Submit {
+            key: None,
             ap_id: 3,
             age: 1,
-            mode: CompressedMode::Quantized,
+            mode: Some(CompressedMode::Quantized),
             spectrum: scrambled_spectrum(64, seed, 6.0),
         };
         let mut bytes = frame.encode();

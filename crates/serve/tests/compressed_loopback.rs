@@ -191,7 +191,8 @@ fn raw_ingestion_accounting_still_adds_up() {
 
 /// A protocol-v2 era server: decodes headers the old way — any frame type
 /// it does not know is an undecodable frame, answered with a courteous
-/// `ProtocolError` before hanging up. Knows `SubmitKeyed` and acks it.
+/// `ProtocolError` before hanging up. Knows the keyed raw submit and acks
+/// it.
 fn spawn_old_server() -> (std::net::SocketAddr, thread::JoinHandle<u32>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
@@ -236,7 +237,11 @@ fn serve_old_conn(stream: &mut TcpStream) -> u32 {
             .expect("old-server frame")
             .expect("complete frame");
         match frame {
-            Frame::SubmitKeyed { .. } => {
+            Frame::Submit {
+                key: Some(_),
+                mode: None,
+                ..
+            } => {
                 raw_submits += 1;
                 let ack = Frame::SubmitAck {
                     observations: raw_submits,

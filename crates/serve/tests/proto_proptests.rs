@@ -7,6 +7,7 @@ use at_core::AoaSpectrum;
 use at_serve::proto::{
     decode, ApHealthReport, DecodeError, Frame, HEADER_LEN, MAGIC, MIN_VERSION, VERSION,
 };
+use at_serve::{codec, CompressedMode};
 use proptest::prelude::*;
 
 /// Round-trips `frame` and checks bit-exactness (f64 payloads compare via
@@ -67,14 +68,18 @@ proptest! {
         let _ = decode(&flipped);
     }
 
-    /// Spectrum submissions round-trip bit-exactly for arbitrary finite
-    /// non-negative spectra.
+    /// Every submit encoding — raw or compressed, keyed or not — round-trips
+    /// bit-exactly for arbitrary finite non-negative spectra, travels
+    /// under its own type byte at the lowest version that defines it, and
+    /// is the typed `VersionGated` error under every older header.
     #[test]
     fn submit_roundtrips_bit_exact(
+        key in 0u64..u64::MAX,
         ap_id in 0u32..64,
         age in 0u64..100,
         bins_step in 0usize..4,
         seed in 0u64..u64::MAX,
+        encoding_pick in 0u8..6,
     ) {
         let bins = [8, 64, 360, 720][bins_step];
         // A deterministic but seed-scrambled spectrum body.
@@ -85,12 +90,32 @@ proptest! {
                 (state >> 11) as f64 / (1u64 << 53) as f64 * 10.0
             })
             .collect();
-        let frame = Frame::SubmitSpectrum {
-            ap_id,
-            age,
-            spectrum: AoaSpectrum::from_values(values),
+        let raw = AoaSpectrum::from_values(values);
+        // Quantized frames round-trip grid-snapped spectra bit-exactly
+        // (quantization is idempotent), so construct those on the grid.
+        let (mode, spectrum) = match encoding_pick / 2 {
+            0 => (None, raw),
+            1 => (Some(CompressedMode::Lossless), raw),
+            _ => (Some(CompressedMode::Quantized), codec::quantized(&raw)),
         };
+        let key = (encoding_pick % 2 == 1).then_some(key);
+        let (ty, need) = match (key.is_some(), mode.is_some()) {
+            (false, false) => (0x01, 1),
+            (true, false) => (0x06, 2),
+            (false, true) => (0x08, 3),
+            (true, true) => (0x09, 3),
+        };
+        let frame = Frame::Submit { key, ap_id, age, mode, spectrum };
         roundtrip_exact(&frame);
+        let mut bytes = frame.encode();
+        prop_assert_eq!((bytes[2], bytes[3]), (need, ty));
+        for old in MIN_VERSION..need {
+            bytes[2] = old;
+            prop_assert_eq!(
+                decode(&bytes),
+                Err(DecodeError::VersionGated { frame: ty, got: old, need })
+            );
+        }
     }
 
     /// Fix frames round-trip bit-exactly, including negative/tiny floats
@@ -194,10 +219,11 @@ proptest! {
                 (state >> 11) as f64 / (1u64 << 53) as f64 * 10.0
             })
             .collect();
-        roundtrip_exact(&Frame::SubmitKeyed {
-            key,
+        roundtrip_exact(&Frame::Submit {
+            key: Some(key),
             ap_id,
             age,
+            mode: None,
             spectrum: AoaSpectrum::from_values(values),
         });
         roundtrip_exact(&Frame::LocalizeKey { key, deadline_ms });

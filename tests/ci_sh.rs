@@ -45,6 +45,7 @@ fn unknown_stage_exits_2_and_lists_the_valid_stage_names() {
         "serve",
         "serve-sessions",
         "lint",
+        "doc",
         "bench-smoke",
     ] {
         assert!(stderr.contains(stage), "stage '{stage}' missing: {stderr}");

@@ -15,18 +15,25 @@
 //! - **Committed fixture**: the golden journal under `tests/fixtures/`
 //!   matches the generator's deployment fingerprint, so `replay_check`
 //!   in CI is comparing against the config it thinks it is.
+//! - **One core records and replays itself**: a `ServiceCore` driven
+//!   directly (no sockets) through a seeded event stream — repeat
+//!   submits, failures, ticks, known and unknown keys, an AP removed and
+//!   another added — journals a run that `replay_in_process` reproduces
+//!   with zero divergence on every query.
 
 use arraytrack::channel::geometry::pt;
+use arraytrack::config::TopologyOp;
 use arraytrack::core::health::HealthPolicy;
 use arraytrack::core::synthesis::{ApPose, SearchRegion};
 use arraytrack::core::AoaSpectrum;
 use arraytrack::replay::{
-    replay_in_process, replay_wire, Journal, JournalError, JournalMeta, Pacing, Recorder,
+    replay_in_process, replay_wire, Event, Journal, JournalError, JournalMeta, Pacing, Recorder,
     RecorderConfig, WireOptions,
 };
+use arraytrack::serve::proto::Frame;
 use arraytrack::serve::{
-    spawn_recorded, ApClient, AppClient, ClientConfig, RecordTap, ServeConfig, ServiceConfig,
-    SessionPolicy,
+    spawn_recorded, ApClient, AppClient, ClientConfig, FuseScratch, RecordTap, ServeConfig,
+    ServiceConfig, ServiceCore, SessionPolicy, SessionRef,
 };
 use arraytrack::testbed::replay::{
     golden_deployment, golden_experiment, golden_meta, golden_service, golden_session_policy,
@@ -305,4 +312,115 @@ fn committed_golden_fixture_matches_the_generator_deployment() {
         "fixture was recorded under a different deployment than the \
          generator builds; regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// A tiny deterministic generator (xorshift64*), so the event stream is
+/// a pure function of its seed.
+struct Events(u64);
+
+impl Events {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 >> 12;
+        self.0 ^= self.0 << 25;
+        self.0 ^= self.0 >> 27;
+        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+    }
+}
+
+#[test]
+fn service_core_replays_its_own_journal_bit_exactly() {
+    let scratch = Scratch::new("core");
+    let service = synthetic_service();
+    let session = syn_session_policy();
+    let recorder = Arc::new(
+        Recorder::create(
+            scratch.path(),
+            JournalMeta::for_service(&service, session),
+            RecorderConfig::default(),
+        )
+        .expect("recorder"),
+    );
+    let tap: Arc<dyn RecordTap> = recorder.clone();
+    let core = ServiceCore::new(service.to_system(session), Some(tap)).expect("core");
+    let mut fuse = FuseScratch::default();
+    let mut rng = Events(0x5EED_0016);
+    let mut poses = service.poses.clone();
+    let (mut queries, mut fixes, mut failed) = (0usize, 0usize, 0usize);
+    for step in 0..240 {
+        // Mid-run topology changes: AP 1 departs, later a new AP joins.
+        let op = match step {
+            80 => Some(TopologyOp::Remove { ap_id: 1 }),
+            160 => Some(TopologyOp::Add {
+                pose: ApPose {
+                    center: pt(10.0, 10.0),
+                    axis_angle: -1.5,
+                },
+            }),
+            _ => None,
+        };
+        if let Some(op) = op {
+            let next = core.prepare(&op).expect("op applies");
+            core.commit(next);
+            poses = core_poses(&core);
+            continue;
+        }
+        let roll = rng.below(100);
+        // Keys 1..=5 are live clients; key 9 is never submitted.
+        let key = 1 + rng.below(5);
+        let ap = rng.below(poses.len() as u64) as u32;
+        if roll < 55 {
+            // Repeat submits to the same (key, AP) slot happen often at
+            // this key and AP count; the cap of 8 spectra forces
+            // evictions too.
+            let target = pt(2.0 + 3.0 * key as f64, 1.0 + 1.5 * key as f64);
+            let bearing = poses[ap as usize].bearing_to(target);
+            let spectrum = AoaSpectrum::from_fn(SYN_BINS, |t| {
+                let d = arraytrack::channel::geometry::angle_diff(t, bearing);
+                (-(d / 0.25).powi(2)).exp() + 0.01
+            });
+            core.submit(SessionRef::Keyed(key), ap, rng.below(3), spectrum)
+                .expect("in-range submit");
+        } else if roll < 65 {
+            core.failure(ap).expect("in-range failure");
+        } else if roll < 72 {
+            core.tick();
+        } else {
+            let key = if roll < 80 { 9 } else { key };
+            let query = core.query(SessionRef::Keyed(key), 0);
+            let reply = core.fuse(&query.obs, &mut fuse);
+            core.outcome(query.seq, &reply);
+            queries += 1;
+            match reply {
+                Frame::Fix { .. } => fixes += 1,
+                Frame::Failed { .. } => failed += 1,
+                other => panic!("fusion answered {other:?}"),
+            }
+        }
+    }
+    let stats = recorder.finish();
+    assert!(!stats.failed);
+    assert!(fixes > 0 && failed > 0, "{fixes} fixes, {failed} refusals");
+
+    let evictions = core.store().stats();
+    assert!(evictions.evicted_cap > 0 && evictions.evicted_topology > 0);
+
+    let journal = Journal::open(scratch.path()).expect("journal opens");
+    let epochs = journal
+        .records
+        .iter()
+        .filter(|r| matches!(r.event, Event::Epoch { .. }))
+        .count();
+    assert_eq!(epochs, 2);
+    let report = replay_in_process(&journal, &service, session).expect("replay");
+    assert_eq!(report.queries, queries);
+    assert_eq!(report.compared, queries, "every fused reply is comparable");
+    assert_eq!(report.divergences, 0, "{:?}", report.divergence_details);
+}
+
+/// The AP poses a core's current epoch advertises.
+fn core_poses(core: &ServiceCore) -> Vec<ApPose> {
+    match core.topology() {
+        Frame::TopologyInfo { poses, .. } => poses,
+        other => panic!("topology answered {other:?}"),
+    }
 }

@@ -16,6 +16,10 @@
 //!   and leave the epoch untouched; submits to a departed id are
 //!   refused with `BAD_AP`; a cold joiner that hasn't warmed yet yields
 //!   `QuorumNotMet`, not a guess and not a crash.
+//! - **Stale v1 sessions**: a legacy per-connection session is bound to
+//!   the epoch of its first spectrum; after a remove or a move its
+//!   localize is the typed `NoObservations`, and the server keeps serving
+//!   bit-exact keyed fixes on the same single worker.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -26,7 +30,8 @@ use arraytrack::core::health::{HealthPolicy, LocalizeError};
 use arraytrack::core::synthesis::{ApPose, SearchRegion};
 use arraytrack::core::{AoaSpectrum, ArrayTrackServer};
 use arraytrack::serve::{
-    ApClient, AppClient, ClientConfig, ClientError, ServeConfig, ServiceConfig, SessionPolicy,
+    ApClient, AppClient, Client, ClientConfig, ClientError, ServeConfig, ServiceConfig,
+    SessionPolicy,
 };
 use std::time::Duration;
 
@@ -312,4 +317,71 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
     let made = fixes.load(Ordering::Relaxed);
     assert!(made >= 5, "storm made {made} fixes");
     server.shutdown();
+}
+
+#[test]
+fn stale_v1_session_is_a_typed_refusal_after_remove_or_move() {
+    let service = service();
+    let session = session_policy();
+    let mut moved = service.poses[0];
+    moved.center.x += 0.5;
+    for op in [
+        TopologyOp::Remove { ap_id: 3 },
+        TopologyOp::Move {
+            ap_id: 0,
+            pose: moved,
+        },
+    ] {
+        // One worker: a panic on the fusion path would leave nothing to
+        // serve the keyed fix below.
+        let server = arraytrack::serve::spawn(
+            service.clone(),
+            ServeConfig {
+                workers: 1,
+                session,
+                ..ServeConfig::default()
+            },
+            "127.0.0.1:0",
+        )
+        .expect("spawn");
+        let addr = server.addr();
+        let target = pt(7.5, 4.5);
+
+        // A v1 session spanning an AP the op changes, then the op.
+        let mut v1 = Client::connect(addr, ClientConfig::default()).expect("v1");
+        for id in [0usize, 1, 3] {
+            v1.submit(id as u32, 0, &lobe(service.poses[id], target))
+                .expect("v1 submit");
+        }
+        let mut app = AppClient::connect(addr, ClientConfig::default()).expect("app");
+        let info = app.reconfigure(&op).expect("reconfigure");
+        assert_eq!(info.epoch, 1, "{op:?}");
+
+        // The session's spectra name the old deployment: typed refusal,
+        // not a worker panic and not a fix against the wrong poses.
+        match v1.localize(None) {
+            Err(ClientError::Localize(LocalizeError::NoObservations)) => {}
+            other => panic!("{op:?}: wanted NoObservations, got {other:?}"),
+        }
+
+        // The same single worker still fixes keyed sessions on the new
+        // epoch, bit-exactly with the in-process server.
+        let (system, _) = service
+            .to_system(session)
+            .apply(&op)
+            .expect("op applies client-side too");
+        let spectra: Vec<AoaSpectrum> = system.poses.iter().map(|&p| lobe(p, target)).collect();
+        let mut ingest = ApClient::connect(addr, ClientConfig::default()).expect("ingest");
+        let mut reference = ArrayTrackServer::new(service.region).with_policy(service.policy);
+        for (id, s) in spectra.iter().enumerate().take(3) {
+            ingest.submit(500, id as u32, 0, s).expect("keyed submit");
+            reference.add_observation_from(id, system.poses[id], s.clone(), 0);
+        }
+        let fix = app.localize(500, None).expect("keyed fix after the op");
+        let expected = reference.try_localize().expect("reference fix");
+        assert_eq!(fix.position.x.to_bits(), expected.position.x.to_bits());
+        assert_eq!(fix.position.y.to_bits(), expected.position.y.to_bits());
+        assert_eq!(fix.likelihood.to_bits(), expected.likelihood.to_bits());
+        server.shutdown();
+    }
 }
