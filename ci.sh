@@ -161,13 +161,13 @@ lint() {
     # Whole workspace except the vendored registry stand-ins (vendor/*),
     # which mirror upstream APIs verbatim and are not held to our lints.
     cargo clippy -q --workspace --exclude rand --exclude proptest \
-        --exclude criterion --all-targets -- -D warnings
+        --all-targets -- -D warnings
 }
 
 doc() {
     # Same exclusions as lint: the vendored stand-ins are not our docs.
     RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
-        --exclude rand --exclude proptest --exclude criterion
+        --exclude rand --exclude proptest
 }
 
 # run_stage <name> — dispatch one gate by its public name.

@@ -16,7 +16,7 @@ pub struct Report {
 impl Report {
     /// Creates a report rooted at `results/` (created if missing), or at
     /// `$ARRAYTRACK_RESULTS` when set.
-    pub fn new(id: &str) -> std::io::Result<Self> {
+    pub(crate) fn new(id: &str) -> std::io::Result<Self> {
         let dir = std::env::var_os("ARRAYTRACK_RESULTS")
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from("results"));
@@ -28,23 +28,23 @@ impl Report {
     }
 
     /// The output directory.
-    pub fn dir(&self) -> &Path {
+    pub(crate) fn dir(&self) -> &Path {
         &self.dir
     }
 
     /// Prints a section header to stdout.
-    pub fn section(&self, title: &str) {
+    pub(crate) fn section(&self, title: &str) {
         println!();
         println!("=== [{}] {title} ===", self.id);
     }
 
     /// Prints one console line.
-    pub fn line(&self, text: impl AsRef<str>) {
+    pub(crate) fn line(&self, text: impl AsRef<str>) {
         println!("{}", text.as_ref());
     }
 
     /// Writes a CSV file `<id>_<name>.csv` with a header row and records.
-    pub fn csv(
+    pub(crate) fn csv(
         &self,
         name: &str,
         header: &[&str],
@@ -61,7 +61,7 @@ impl Report {
     }
 
     /// Renders an aligned two-dimensional table to stdout.
-    pub fn table(&self, header: &[&str], rows: &[Vec<String>]) {
+    pub(crate) fn table(&self, header: &[&str], rows: &[Vec<String>]) {
         let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
         for row in rows {
             for (i, cell) in row.iter().enumerate() {
@@ -95,17 +95,17 @@ impl Report {
 }
 
 /// Formats a float with 3 decimals (the tables' standard cell format).
-pub fn f3(x: f64) -> String {
+pub(crate) fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
 /// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
+pub(crate) fn f1(x: f64) -> String {
     format!("{x:.1}")
 }
 
 /// Downsamples a CDF point list to at most `max_points` for compact CSVs.
-pub fn thin_cdf(points: &[(f64, f64)], max_points: usize) -> Vec<(f64, f64)> {
+pub(crate) fn thin_cdf(points: &[(f64, f64)], max_points: usize) -> Vec<(f64, f64)> {
     if points.len() <= max_points || max_points == 0 {
         return points.to_vec();
     }

@@ -9,10 +9,10 @@
 use crate::geometry::Point;
 
 /// Speed of light in m/s.
-pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
+pub(crate) const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 
 /// 2.4 GHz ISM-band carrier used by the testbed's 802.11g clients.
-pub const CARRIER_HZ: f64 = 2.44e9;
+pub(crate) const CARRIER_HZ: f64 = 2.44e9;
 
 /// Carrier wavelength λ = c / f ≈ 12.29 cm.
 pub fn wavelength() -> f64 {
@@ -132,7 +132,7 @@ impl AntennaArray {
 
     /// Radius of the circular layout: chord `spacing` between neighbors
     /// ⇒ `r = spacing / (2·sin(π/M))`.
-    pub fn circle_radius(&self) -> f64 {
+    pub(crate) fn circle_radius(&self) -> f64 {
         self.spacing / (2.0 * (std::f64::consts::PI / self.elements as f64).sin())
     }
 
@@ -169,7 +169,7 @@ impl AntennaArray {
     }
 
     /// Whether element `m` is marked dead.
-    pub fn is_dead(&self, m: usize) -> bool {
+    pub(crate) fn is_dead(&self, m: usize) -> bool {
         self.dead_elements.contains(&m)
     }
 
@@ -180,7 +180,7 @@ impl AntennaArray {
 
     /// The static complex gain error of element `m` (1 + 0j when ideal,
     /// exactly zero when the element is dead).
-    pub fn element_error(&self, m: usize) -> at_linalg::Complex64 {
+    pub(crate) fn element_error(&self, m: usize) -> at_linalg::Complex64 {
         if self.is_dead(m) {
             return at_linalg::Complex64::ZERO;
         }
@@ -206,7 +206,7 @@ impl AntennaArray {
     }
 
     /// Unit vector along the array axis.
-    pub fn axis(&self) -> Point {
+    pub(crate) fn axis(&self) -> Point {
         Point::unit(self.axis_angle)
     }
 
@@ -220,7 +220,7 @@ impl AntennaArray {
     /// Elements `0..elements` lie on the axis, centered on `center`, in
     /// axis order; element index `elements` (if enabled) is the off-row
     /// antenna, displaced λ/2 perpendicular to the axis from element 0.
-    pub fn element_position(&self, m: usize) -> Point {
+    pub(crate) fn element_position(&self, m: usize) -> Point {
         let axis = self.axis();
         match self.layout {
             ArrayLayout::Linear => {
@@ -249,7 +249,7 @@ impl AntennaArray {
 
     /// Height of element `m` above the floor: constant for planar layouts,
     /// stacked around [`Self::height`] for the vertical layout.
-    pub fn element_height(&self, m: usize) -> f64 {
+    pub(crate) fn element_height(&self, m: usize) -> f64 {
         match self.layout {
             ArrayLayout::Vertical => {
                 assert!(m < self.elements, "element index {m} out of range");
@@ -264,11 +264,6 @@ impl AntennaArray {
         (0..self.total_elements())
             .map(|m| self.element_position(m))
             .collect()
-    }
-
-    /// Physical aperture of the in-row array in meters.
-    pub fn aperture(&self) -> f64 {
-        (self.elements as f64 - 1.0) * self.spacing
     }
 
     /// Ground-truth bearing of a source at `p`, measured from the array
@@ -313,7 +308,6 @@ mod tests {
         for w in ps.windows(2) {
             assert!((w[0].distance(w[1]) - half_wavelength()).abs() < 1e-12);
         }
-        assert!((a.aperture() - 7.0 * half_wavelength()).abs() < 1e-12);
     }
 
     #[test]

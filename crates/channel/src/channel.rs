@@ -84,29 +84,17 @@ impl Transmitter {
 #[derive(Clone, Debug)]
 pub struct ChannelSim<'a> {
     floorplan: &'a Floorplan,
-    max_order: usize,
 }
 
 impl<'a> ChannelSim<'a> {
     /// Channel over a floorplan with second-order reflections.
     pub fn new(floorplan: &'a Floorplan) -> Self {
-        Self {
-            floorplan,
-            max_order: 2,
-        }
-    }
-
-    /// Limits the reflection order (0 = free-space-like direct ray only).
-    pub fn with_max_order(mut self, max_order: usize) -> Self {
-        self.max_order = max_order;
-        self
+        Self { floorplan }
     }
 
     /// Traces the propagation paths from a transmitter to the array center.
-    pub fn paths(&self, tx: &Transmitter, array: &AntennaArray) -> Vec<Path> {
-        PathTracer::new(self.floorplan)
-            .with_max_order(self.max_order)
-            .trace(tx.position, tx.height, array.center, array.height)
+    pub(crate) fn paths(&self, tx: &Transmitter, array: &AntennaArray) -> Vec<Path> {
+        PathTracer::new(self.floorplan).trace(tx.position, tx.height, array.center, array.height)
     }
 
     /// Received power (relative to unit TX power) summed over paths, at the
@@ -143,7 +131,7 @@ impl<'a> ChannelSim<'a> {
     /// Like [`Self::receive`] but with pre-traced paths (lets experiments
     /// inspect ground-truth bearings without re-tracing).
     #[allow(clippy::too_many_arguments)]
-    pub fn receive_via_paths<W: Fn(f64) -> Complex64>(
+    pub(crate) fn receive_via_paths<W: Fn(f64) -> Complex64>(
         &self,
         paths: &[Path],
         tx: &Transmitter,

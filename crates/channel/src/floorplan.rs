@@ -173,7 +173,7 @@ impl Floorplan {
     /// crossings within `margin` meters of either ray endpoint (so a
     /// reflection point on a wall doesn't count the reflecting wall as an
     /// obstruction).
-    pub fn obstruction_loss_db(&self, ray: &Segment, margin: f64) -> f64 {
+    pub(crate) fn obstruction_loss_db(&self, ray: &Segment, margin: f64) -> f64 {
         let mut loss = 0.0;
         for wall in &self.walls {
             if ray.intersect_interior(&wall.segment, margin).is_some() {

@@ -49,7 +49,7 @@ impl Point {
 
     /// 2D cross product (z-component).
     #[inline]
-    pub fn cross(self, other: Point) -> f64 {
+    pub(crate) fn cross(self, other: Point) -> f64 {
         self.x * other.y - self.y * other.x
     }
 
@@ -66,7 +66,7 @@ impl Point {
     }
 
     /// Unit vector in this direction (zero vector returned unchanged).
-    pub fn normalized(self) -> Point {
+    pub(crate) fn normalized(self) -> Point {
         let n = self.norm();
         if n == 0.0 {
             self
@@ -89,7 +89,7 @@ impl Point {
 
     /// Perpendicular vector (rotated +90°).
     #[inline]
-    pub fn perp(self) -> Point {
+    pub(crate) fn perp(self) -> Point {
         pt(-self.y, self.x)
     }
 }
@@ -114,18 +114,8 @@ pub const fn seg(a: Point, b: Point) -> Segment {
 const EPS: f64 = 1e-6;
 
 impl Segment {
-    /// Segment length in meters.
-    pub fn length(&self) -> f64 {
-        self.a.distance(self.b)
-    }
-
-    /// Midpoint of the segment.
-    pub fn midpoint(&self) -> Point {
-        self.a.add(self.b).scale(0.5)
-    }
-
     /// Direction unit vector from `a` to `b`.
-    pub fn direction(&self) -> Point {
+    pub(crate) fn direction(&self) -> Point {
         self.b.sub(self.a).normalized()
     }
 
@@ -133,7 +123,7 @@ impl Segment {
     ///
     /// Returns the intersection point if the segments cross (including at
     /// endpoints within tolerance); `None` for parallel/disjoint segments.
-    pub fn intersect(&self, other: &Segment) -> Option<Point> {
+    pub(crate) fn intersect(&self, other: &Segment) -> Option<Point> {
         let r = self.b.sub(self.a);
         let s = other.b.sub(other.a);
         let denom = r.cross(s);
@@ -155,7 +145,7 @@ impl Segment {
     /// Like [`Segment::intersect`] but excludes crossings within `margin`
     /// meters of either endpoint of `self` — used to ignore a ray's own
     /// launch/landing points when counting obstructions.
-    pub fn intersect_interior(&self, other: &Segment, margin: f64) -> Option<Point> {
+    pub(crate) fn intersect_interior(&self, other: &Segment, margin: f64) -> Option<Point> {
         let p = self.intersect(other)?;
         if p.distance(self.a) < margin || p.distance(self.b) < margin {
             None
@@ -176,7 +166,7 @@ impl Segment {
     }
 
     /// Distance from a point to the segment (not the infinite line).
-    pub fn distance_to(&self, p: Point) -> f64 {
+    pub(crate) fn distance_to(&self, p: Point) -> f64 {
         let d = self.b.sub(self.a);
         let len2 = d.dot(d);
         if len2 == 0.0 {
@@ -184,11 +174,6 @@ impl Segment {
         }
         let t = (p.sub(self.a).dot(d) / len2).clamp(0.0, 1.0);
         p.distance(self.a.add(d.scale(t)))
-    }
-
-    /// Whether `p` lies on the segment within tolerance.
-    pub fn contains(&self, p: Point) -> bool {
-        self.distance_to(p) < EPS
     }
 }
 
@@ -203,7 +188,7 @@ pub struct Circle {
 
 impl Circle {
     /// Whether a segment passes through the circle's interior.
-    pub fn intersects_segment(&self, s: &Segment) -> bool {
+    pub(crate) fn intersects_segment(&self, s: &Segment) -> bool {
         s.distance_to(self.center) < self.radius
     }
 }

@@ -15,15 +15,6 @@ pub fn bearing_error_fraction(h: f64, d: f64) -> f64 {
     slant / d - 1.0
 }
 
-/// The paper's Appendix A table: percentage error for the two distances it
-/// quotes.
-pub fn paper_reference_errors() -> [(f64, f64, f64); 2] {
-    [
-        (1.5, 5.0, bearing_error_fraction(1.5, 5.0) * 100.0),
-        (1.5, 10.0, bearing_error_fraction(1.5, 10.0) * 100.0),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

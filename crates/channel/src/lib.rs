@@ -28,10 +28,7 @@ pub mod height;
 pub mod polarization;
 pub mod propagation;
 
-pub use array::{
-    half_wavelength, offrow_offset, wavelength, AntennaArray, ArrayLayout, CARRIER_HZ,
-    SPEED_OF_LIGHT,
-};
+pub use array::{half_wavelength, offrow_offset, wavelength, AntennaArray, ArrayLayout};
 pub use channel::{ChannelSim, Transmitter};
 pub use floorplan::{Floorplan, Material, Pillar, Wall};
 pub use geometry::{pt, seg, Point, Segment};

@@ -11,18 +11,13 @@ use at_dsp::db_to_linear;
 
 /// Cross-polar leakage floor: a 90°-misaligned antenna still receives
 /// −20 dB of the co-polar power (paper §4.3.2: "20 dB or more").
-pub const CROSS_POLAR_FLOOR_DB: f64 = -20.0;
+pub(crate) const CROSS_POLAR_FLOOR_DB: f64 = -20.0;
 
 /// Power attenuation factor (linear, ≤ 1) for a polarization mismatch of
 /// `psi` radians between the client's and AP's linear antennas.
-pub fn polarization_loss(psi: f64) -> f64 {
+pub(crate) fn polarization_loss(psi: f64) -> f64 {
     let c = psi.cos();
     (c * c).max(db_to_linear(CROSS_POLAR_FLOOR_DB))
-}
-
-/// Same as [`polarization_loss`] but returned in (negative) dB.
-pub fn polarization_loss_db(psi: f64) -> f64 {
-    10.0 * polarization_loss(psi).log10()
 }
 
 #[cfg(test)]
@@ -33,19 +28,18 @@ mod tests {
     #[test]
     fn aligned_antennas_lose_nothing() {
         assert!((polarization_loss(0.0) - 1.0).abs() < 1e-12);
-        assert!(polarization_loss_db(0.0).abs() < 1e-9);
     }
 
     #[test]
     fn forty_five_degrees_is_3db() {
         // cos²(45°) = 0.5 ⇒ −3.01 dB, the paper's "up to 3 dB".
-        let db = polarization_loss_db(FRAC_PI_4);
+        let db = 10.0 * polarization_loss(FRAC_PI_4).log10();
         assert!((db + 3.0103).abs() < 0.01, "{db}");
     }
 
     #[test]
     fn ninety_degrees_hits_the_20db_floor() {
-        let db = polarization_loss_db(FRAC_PI_2);
+        let db = 10.0 * polarization_loss(FRAC_PI_2).log10();
         assert!((db - CROSS_POLAR_FLOOR_DB).abs() < 1e-9, "{db}");
     }
 

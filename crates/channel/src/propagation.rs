@@ -36,13 +36,8 @@ pub struct Path {
 
 impl Path {
     /// Propagation delay to the receiver reference point, seconds.
-    pub fn delay(&self) -> f64 {
+    pub(crate) fn delay(&self) -> f64 {
         self.length / SPEED_OF_LIGHT
-    }
-
-    /// Received power of this path relative to unit transmit power, in dB.
-    pub fn power_db(&self) -> f64 {
-        10.0 * self.gain.norm_sqr().log10()
     }
 }
 
@@ -61,17 +56,11 @@ const ROUGHNESS_CELL: f64 = 0.015;
 #[derive(Clone, Debug)]
 pub struct PathTracer<'a> {
     floorplan: &'a Floorplan,
-    /// Maximum reflection order (0 = direct only; 2 is the default and
-    /// matches the energy budget that matters at these path losses).
-    max_order: usize,
     /// Paths weaker than this fraction of the strongest path's amplitude
     /// are dropped (they are far below the noise floor).
     relative_floor: f64,
     /// Endpoint margin when counting obstructions, meters.
     margin: f64,
-    /// Whether reflections pick up the surface-roughness factor (default
-    /// on; disable for geometry-exact tests).
-    rough_surfaces: bool,
 }
 
 impl<'a> PathTracer<'a> {
@@ -79,28 +68,9 @@ impl<'a> PathTracer<'a> {
     pub fn new(floorplan: &'a Floorplan) -> Self {
         Self {
             floorplan,
-            max_order: 2,
             relative_floor: 1e-3,
             margin: 1e-2,
-            rough_surfaces: true,
         }
-    }
-
-    /// Overrides the maximum reflection order (0, 1, or 2).
-    pub fn with_max_order(mut self, max_order: usize) -> Self {
-        assert!(
-            max_order <= 2,
-            "only up to second-order reflections are implemented"
-        );
-        self.max_order = max_order;
-        self
-    }
-
-    /// Disables surface roughness: reflections become ideal mirrors
-    /// (useful for geometry-exact tests and the free-space control).
-    pub fn with_smooth_surfaces(mut self) -> Self {
-        self.rough_surfaces = false;
-        self
     }
 
     /// The deterministic roughness draw for a bounce off wall `wall_idx`
@@ -108,9 +78,6 @@ impl<'a> PathTracer<'a> {
     /// jitter in radians (the glint point on a cluttered surface wanders,
     /// shifting the reflection's AoA by a few degrees).
     fn roughness(&self, wall_idx: usize, hit: Point) -> (Complex64, f64) {
-        if !self.rough_surfaces {
-            return (Complex64::ONE, 0.0);
-        }
         let cx = (hit.x / ROUGHNESS_CELL).floor() as i64;
         let cy = (hit.y / ROUGHNESS_CELL).floor() as i64;
         let h = splitmix64(
@@ -148,12 +115,8 @@ impl<'a> PathTracer<'a> {
             paths.push(p);
         }
 
-        if self.max_order >= 1 {
-            self.trace_first_order(tx, rx, dh, &mut paths);
-        }
-        if self.max_order >= 2 {
-            self.trace_second_order(tx, rx, dh, &mut paths);
-        }
+        self.trace_first_order(tx, rx, dh, &mut paths);
+        self.trace_second_order(tx, rx, dh, &mut paths);
 
         // Drop paths far below the strongest.
         let peak = paths.iter().map(|p| p.gain.abs()).fold(0.0f64, f64::max);
@@ -321,20 +284,14 @@ mod tests {
     fn single_wall_adds_one_reflection() {
         let fp =
             Floorplan::empty().with_wall(seg(pt(-20.0, 5.0), pt(30.0, 5.0)), Material::CONCRETE);
-        let paths = PathTracer::new(&fp).with_smooth_surfaces().trace(
-            pt(0.0, 0.0),
-            1.5,
-            pt(10.0, 0.0),
-            1.5,
-        );
+        let paths = PathTracer::new(&fp).trace(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5);
         assert_eq!(paths.len(), 2);
         let refl = paths.iter().find(|p| p.order == 1).expect("reflection");
-        // Mirror geometry: path length = |(0,10) - (10,0)| = √200.
+        // Mirror geometry: path length = |(0,10) - (10,0)| = √200
+        // (roughness wanders the bearing, never the length).
         assert!((refl.length - 200.0f64.sqrt()).abs() < 1e-9);
         // Reflection is weaker than the direct path.
         assert!(refl.gain.abs() < paths[0].gain.abs());
-        // Phase-inverting reflection coefficient (exact with smooth walls).
-        assert!(refl.gain.re < 0.0);
     }
 
     #[test]
@@ -361,15 +318,10 @@ mod tests {
             (a - c).abs() > 1e-6 * a.abs(),
             "roughness should decorrelate"
         );
-        // Roughness never amplifies beyond the smooth-wall gain.
-        let smooth = PathTracer::new(&fp)
-            .with_smooth_surfaces()
-            .trace(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5)
-            .into_iter()
-            .find(|p| p.order == 1)
-            .unwrap()
-            .gain;
-        assert!(a.abs() <= smooth.abs() + 1e-12);
+        // Roughness never amplifies beyond the smooth-wall (mirror) gain.
+        let smooth = Material::CONCRETE.reflection * wavelength()
+            / (4.0 * std::f64::consts::PI * 200.0f64.sqrt());
+        assert!(a.abs() <= smooth + 1e-12);
     }
 
     #[test]
@@ -397,26 +349,12 @@ mod tests {
     }
 
     #[test]
-    fn max_order_limits_paths() {
-        let fp = Floorplan::empty()
-            .with_wall(seg(pt(-20.0, 5.0), pt(30.0, 5.0)), Material::METAL)
-            .with_wall(seg(pt(-20.0, -5.0), pt(30.0, -5.0)), Material::METAL);
-        let t0 = PathTracer::new(&fp).with_max_order(0);
-        assert_eq!(t0.trace(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5).len(), 1);
-        let t1 = PathTracer::new(&fp).with_max_order(1);
-        assert!(t1
-            .trace(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5)
-            .iter()
-            .all(|p| p.order <= 1));
-    }
-
-    #[test]
     fn pillar_attenuates_direct_path() {
         let clear = free_space_path(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5);
         let fp = Floorplan::empty().with_pillar(Pillar::concrete(pt(5.0, 0.0), 0.4));
         let blocked = PathTracer::new(&fp).trace(pt(0.0, 0.0), 1.5, pt(10.0, 0.0), 1.5);
         let direct = blocked.iter().find(|p| p.order == 0).expect("direct");
-        let drop_db = clear.power_db() - direct.power_db();
+        let drop_db = 20.0 * (clear.gain.abs() / direct.gain.abs()).log10();
         assert!((drop_db - 6.0).abs() < 1e-9, "pillar loss {drop_db}");
     }
 

@@ -12,7 +12,7 @@
 //!
 //! [`SystemConfig`] unifies all of it — AP poses, search region, spectrum
 //! resolution, health policy, session policy, default uplink codec — with
-//! a **canonical byte serialization** ([`SystemConfig::canonical_bytes`],
+//! a **canonical byte serialization** (`SystemConfig::canonical_bytes`,
 //! bit-exact for the float fields) and a **derived fingerprint**
 //! ([`SystemConfig::fingerprint`], FNV-1a over the canonical bytes). Two
 //! processes holding the same fingerprint provably search the same grid,
@@ -45,10 +45,10 @@ use std::fmt;
 use std::time::Duration;
 
 /// Version tag of the canonical serialization this crate writes.
-pub const CANONICAL_VERSION: u16 = 1;
+pub(crate) const CANONICAL_VERSION: u16 = 1;
 
 /// Magic prefix of the canonical serialization.
-pub const CANONICAL_MAGIC: [u8; 4] = *b"ATCF";
+pub(crate) const CANONICAL_MAGIC: [u8; 4] = *b"ATCF";
 
 /// Hard ceiling on deployment size: enough for a campus, small enough
 /// that a hostile `Reconfigure` stream cannot balloon per-AP state.
@@ -108,17 +108,6 @@ impl SessionPolicy {
         }
         Ok(())
     }
-
-    /// Validates the policy.
-    ///
-    /// # Panics
-    /// Panics on a zero cap, zero shard count, or zero intervals — the
-    /// legacy entry point; prefer [`SessionPolicy::check`].
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            panic!("{e}");
-        }
-    }
 }
 
 /// Default uplink wire encoding the service advertises to AP clients
@@ -145,6 +134,7 @@ impl CodecDefault {
         }
     }
 
+    #[cfg(test)]
     fn from_byte(b: u8) -> Result<Self, ConfigError> {
         match b {
             0 => Ok(Self::Raw),
@@ -314,6 +304,7 @@ impl<'a> Cursor<'a> {
         Ok(self.take::<1>(what)?[0])
     }
 
+    #[cfg(test)]
     fn u16(&mut self, what: &'static str) -> Result<u16, ConfigError> {
         Ok(u16::from_le_bytes(self.take(what)?))
     }
@@ -322,6 +313,7 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take(what)?))
     }
 
+    #[cfg(test)]
     fn u64(&mut self, what: &'static str) -> Result<u64, ConfigError> {
         Ok(u64::from_le_bytes(self.take(what)?))
     }
@@ -341,6 +333,7 @@ impl<'a> Cursor<'a> {
         self.at
     }
 
+    #[cfg(test)]
     fn done(&self) -> bool {
         self.at == self.bytes.len()
     }
@@ -352,7 +345,7 @@ fn duration_us(d: Duration) -> u64 {
 
 /// FNV-1a over `bytes` — the one hash every fingerprint in the system
 /// derives from.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -395,17 +388,7 @@ impl SystemConfig {
         if !(8..=(1 << 16)).contains(&self.bins) {
             return Err(ConfigError::BinsOutOfRange { bins: self.bins });
         }
-        if self.health.degraded_after > self.health.down_after {
-            return Err(ConfigError::Health(
-                "an AP must degrade before it goes down",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.health.degraded_weight) {
-            return Err(ConfigError::Health("confidence weight must be in [0, 1]"));
-        }
-        if self.health.min_quorum < 1 {
-            return Err(ConfigError::Health("a fix needs at least one AP"));
-        }
+        self.health.check().map_err(ConfigError::Health)?;
         self.session.check()?;
         if self.session.max_resident_spectra < self.poses.len() {
             return Err(ConfigError::CapBelowApCount {
@@ -418,7 +401,7 @@ impl SystemConfig {
 
     /// The canonical byte serialization: versioned, little-endian, floats
     /// as IEEE-754 bits (so encode→decode→encode is byte-identical).
-    pub fn canonical_bytes(&self) -> Vec<u8> {
+    pub(crate) fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.poses.len() * POSE_BYTES);
         out.extend_from_slice(&CANONICAL_MAGIC);
         out.extend_from_slice(&CANONICAL_VERSION.to_le_bytes());
@@ -449,7 +432,8 @@ impl SystemConfig {
 
     /// Parses (and validates) a canonical serialization. Total: malformed
     /// or trailing bytes come back as [`ConfigError`], never a panic.
-    pub fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, ConfigError> {
+    #[cfg(test)]
+    pub(crate) fn from_canonical_bytes(bytes: &[u8]) -> Result<Self, ConfigError> {
         let mut c = Cursor::new(bytes);
         if c.take::<4>("magic")? != CANONICAL_MAGIC {
             return Err(ConfigError::Malformed("bad magic"));
@@ -685,26 +669,6 @@ pub struct ApMapping {
     pub n_new: usize,
 }
 
-impl ApMapping {
-    /// The identity mapping over `n` APs (no-op epoch).
-    pub fn identity(n: usize) -> Self {
-        Self {
-            old_to_new: (0..n).map(|i| Some(i as u32)).collect(),
-            n_new: n,
-        }
-    }
-
-    /// Whether the mapping carries every AP over unchanged.
-    pub fn is_identity(&self) -> bool {
-        self.n_new == self.old_to_new.len()
-            && self
-                .old_to_new
-                .iter()
-                .enumerate()
-                .all(|(i, m)| *m == Some(i as u32))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -848,7 +812,6 @@ mod tests {
         assert_eq!(next.poses[4], pose);
         assert_eq!(map.old_to_new[4], None);
         assert_eq!(map.old_to_new[3], Some(3));
-        assert!(!map.is_identity());
     }
 
     #[test]
@@ -903,13 +866,5 @@ mod tests {
         assert!(TopologyOp::decode(&[]).is_err());
         assert!(TopologyOp::decode(&[9]).is_err());
         assert!(TopologyOp::decode(&[OP_MOVE, 1]).is_err());
-    }
-
-    #[test]
-    fn mapping_identity_helpers() {
-        let id = ApMapping::identity(4);
-        assert!(id.is_identity());
-        let (_, map) = office().apply(&TopologyOp::Remove { ap_id: 5 }).unwrap();
-        assert!(!map.is_identity());
     }
 }

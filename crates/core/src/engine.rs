@@ -111,7 +111,8 @@ static GRID_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 /// `(hits, misses)` of the process-wide per-AP grid cache since process
 /// start. An epoch rebuild that keeps `k` of `n` APs unchanged shows up
 /// as `k` hits and `n − k` misses (the topology tests pin this down).
-pub fn grid_cache_stats() -> (u64, u64) {
+#[cfg(test)]
+pub(crate) fn grid_cache_stats() -> (u64, u64) {
     (
         GRID_CACHE_HITS.load(Ordering::Relaxed),
         GRID_CACHE_MISSES.load(Ordering::Relaxed),
@@ -176,11 +177,11 @@ fn coarse_stride(region: &SearchRegion) -> usize {
 
 /// Gauge name: heap bytes retained by localize scratch arenas (set when an
 /// arena grows; steady-state queries never touch it).
-pub const SCRATCH_BYTES_GAUGE: &str = "at_localize_scratch_bytes";
+pub(crate) const SCRATCH_BYTES_GAUGE: &str = "at_localize_scratch_bytes";
 
 /// Counter name: scratch arena growth events. Zero growth per interval
 /// means the warm path is allocation-free.
-pub const SCRATCH_GROW_COUNTER: &str = "at_localize_scratch_grow_total";
+pub(crate) const SCRATCH_GROW_COUNTER: &str = "at_localize_scratch_grow_total";
 
 /// A reusable per-worker workspace for engine queries.
 ///
@@ -229,7 +230,7 @@ impl LocalizeScratch {
     }
 
     /// Heap bytes currently retained by the workspace's buffers.
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         let spectra: usize = self
             .exact
             .iter()
@@ -293,11 +294,6 @@ pub struct LocalizationEngine {
     region: SearchRegion,
     poses: Vec<ApPose>,
     bins: usize,
-    /// Topology epoch this engine was built for (0 for a fixed
-    /// deployment). Purely a tag — the caches depend only on poses,
-    /// region, and bins — but serving layers use it to assert a batch
-    /// executes against the epoch its observations were snapshotted in.
-    epoch: u64,
     nx: usize,
     ny: usize,
     /// Coarse tiling: block edge in cells, and block-grid dimensions.
@@ -314,27 +310,21 @@ pub struct LocalizationEngine {
 }
 
 impl LocalizationEngine {
-    /// Precomputes the bearing caches for a deployment (epoch 0).
+    /// Precomputes the bearing caches for a deployment.
     ///
     /// `bins` is the angular resolution of the spectra that queries will
     /// carry (the pipeline default is 720).
     ///
+    /// Per-AP grids are fetched from the process-wide cache keyed by the
+    /// exact `(pose, region, bins)` bits, so rebuilding for a new topology
+    /// epoch pays only for the APs whose pose actually changed — an add/
+    /// remove/move of one AP out of `n` recomputes one grid, not `n`. Cache
+    /// hits are byte-identical to recomputes, so engines for the same
+    /// geometry are bit-exact regardless of what epoch path produced them.
+    ///
     /// # Panics
     /// Panics if `poses` is empty or `bins` doesn't fit the `u16` grid.
     pub fn new(poses: &[ApPose], region: SearchRegion, bins: usize) -> Self {
-        Self::for_epoch(poses, region, bins, 0)
-    }
-
-    /// [`LocalizationEngine::new`] tagged with a topology epoch.
-    ///
-    /// Per-AP grids are fetched from the process-wide cache keyed by the
-    /// exact `(pose, region, bins)` bits, so rebuilding for a new epoch
-    /// pays only for the APs whose pose actually changed — an add/remove/
-    /// move of one AP out of `n` recomputes one grid, not `n`
-    /// ([`grid_cache_stats`] makes the reuse observable). Cache hits are
-    /// byte-identical to recomputes, so engines for the same geometry are
-    /// bit-exact regardless of what epoch path produced them.
-    pub fn for_epoch(poses: &[ApPose], region: SearchRegion, bins: usize, epoch: u64) -> Self {
         assert!(!poses.is_empty(), "need at least one AP pose");
         assert!(
             (8..=u16::MAX as usize + 1).contains(&bins),
@@ -359,7 +349,6 @@ impl LocalizationEngine {
             region,
             poses: poses.to_vec(),
             bins,
-            epoch,
             nx,
             ny,
             stride,
@@ -371,28 +360,13 @@ impl LocalizationEngine {
     }
 
     /// The AP poses the engine was built for, in index order.
-    pub fn poses(&self) -> &[ApPose] {
+    pub(crate) fn poses(&self) -> &[ApPose] {
         &self.poses
-    }
-
-    /// The topology epoch this engine serves (0 for a fixed deployment).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The search region (and grid pitch) the engine covers.
-    pub fn region(&self) -> SearchRegion {
-        self.region
     }
 
     /// The spectrum resolution queries must match.
     pub fn bins(&self) -> usize {
         self.bins
-    }
-
-    /// Grid dimensions `(nx, ny)` of the fine search grid.
-    pub fn grid_size(&self) -> (usize, usize) {
-        (self.nx, self.ny)
     }
 
     /// The precomputed spectrum-bin index of cell `(ix, iy)`'s bearing from
@@ -433,7 +407,7 @@ impl LocalizationEngine {
     /// # Panics
     /// Panics if `n == 0`, any AP index is out of range, or any spectrum's
     /// resolution differs from the engine's.
-    pub fn localize_indexed<'a, F>(
+    pub(crate) fn localize_indexed<'a, F>(
         &self,
         n: usize,
         get: &F,
@@ -764,27 +738,25 @@ mod tests {
             })
             .collect();
         let region = SearchRegion::new(pt(100.0, 50.0), pt(106.0, 55.0));
-        let e0 = LocalizationEngine::for_epoch(&poses, region, 720, 0);
-        assert_eq!(e0.epoch(), 0);
+        let e0 = LocalizationEngine::new(&poses, region, 720);
 
         // Remove AP 1: three grids survive unchanged.
         let mut fewer = poses.clone();
         fewer.remove(1);
         let (h0, m0) = grid_cache_stats();
-        let e1 = LocalizationEngine::for_epoch(&fewer, region, 720, 1);
+        let e1 = LocalizationEngine::new(&fewer, region, 720);
         let (h1, m1) = grid_cache_stats();
-        assert_eq!(e1.epoch(), 1);
         assert_eq!(h1 - h0, 3, "three unchanged APs must hit the cache");
         assert_eq!(m1 - m0, 0);
 
         // The reused slabs are byte-identical to the original build's.
-        let (nx, ny) = e0.grid_size();
+        let (nx, ny) = (e0.nx, e0.ny);
         let cells = nx * ny;
         assert_eq!(e1.fine[..cells], e0.fine[..cells]); // old AP 0
         assert_eq!(e1.fine[cells..2 * cells], e0.fine[2 * cells..3 * cells]); // old AP 2
                                                                               // And a from-scratch engine over the same poses is bit-identical
                                                                               // to the cache-served one.
-        let fresh = LocalizationEngine::for_epoch(&fewer, region, 720, 1);
+        let fresh = LocalizationEngine::new(&fewer, region, 720);
         assert_eq!(fresh.fine, e1.fine);
         assert_eq!(fresh.blocks, e1.blocks);
     }
@@ -935,7 +907,7 @@ mod tests {
         let (poses, _, region) = fixture(pt(6.0, 4.0));
         let engine = LocalizationEngine::new(&poses, region, 720);
         let half_bin = TAU / 720.0 / 2.0;
-        let (nx, ny) = engine.grid_size();
+        let (nx, ny) = (engine.nx, engine.ny);
         for (ap, pose) in poses.iter().enumerate() {
             for iy in (0..ny).step_by(7) {
                 for ix in (0..nx).step_by(7) {

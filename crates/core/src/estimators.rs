@@ -29,7 +29,7 @@ fn scan_ula(elements: usize, bins: usize, f: impl Fn(&at_linalg::CVector) -> f64
 }
 
 /// Bartlett (conventional beam-scan) spectrum from a correlation matrix.
-pub fn bartlett_spectrum_from_rxx(rxx: &CMatrix, bins: usize) -> AoaSpectrum {
+pub(crate) fn bartlett_spectrum_from_rxx(rxx: &CMatrix, bins: usize) -> AoaSpectrum {
     assert!(rxx.is_square());
     scan_ula(rxx.rows(), bins, |a| a.dot(&rxx.mul_vec(a)).re)
 }
@@ -40,7 +40,7 @@ pub fn bartlett_spectrum(block: &SnapshotBlock, bins: usize) -> AoaSpectrum {
 }
 
 /// MVDR (Capon) spectrum from a correlation matrix, with diagonal loading.
-pub fn mvdr_spectrum_from_rxx(rxx: &CMatrix, bins: usize) -> AoaSpectrum {
+pub(crate) fn mvdr_spectrum_from_rxx(rxx: &CMatrix, bins: usize) -> AoaSpectrum {
     assert!(rxx.is_square());
     let eig = eigh(rxx).expect("correlation matrices are Hermitian");
     let rinv = eig.inverse_regularized(MVDR_LOADING);

@@ -71,7 +71,8 @@ impl Default for ApFaultProfile {
 
 impl ApFaultProfile {
     /// Whether this profile is a completely healthy AP.
-    pub fn is_healthy(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_healthy(&self) -> bool {
         *self == Self::default()
     }
 
@@ -108,11 +109,6 @@ impl FaultPlan {
         }
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Number of APs the plan covers.
     pub fn len(&self) -> usize {
         self.aps.len()
@@ -129,7 +125,8 @@ impl FaultPlan {
     }
 
     /// Whether every AP in the plan is healthy.
-    pub fn is_all_healthy(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_all_healthy(&self) -> bool {
         self.aps.iter().all(ApFaultProfile::is_healthy)
     }
 

@@ -66,24 +66,24 @@ impl Default for HealthPolicy {
 }
 
 impl HealthPolicy {
-    /// Validates the policy's internal consistency.
-    ///
-    /// # Panics
-    /// Panics if thresholds are inverted or the weight is outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(
-            self.degraded_after <= self.down_after,
-            "an AP must degrade before it goes down"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.degraded_weight),
-            "confidence weight must be in [0, 1]"
-        );
-        assert!(self.min_quorum >= 1, "a fix needs at least one AP");
+    /// Checks the policy's internal consistency: thresholds in order, the
+    /// weight inside `[0, 1]`, a quorum of at least one AP. The error says
+    /// which rule was broken.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.degraded_after > self.down_after {
+            return Err("an AP must degrade before it goes down");
+        }
+        if !(0.0..=1.0).contains(&self.degraded_weight) {
+            return Err("confidence weight must be in [0, 1]");
+        }
+        if self.min_quorum < 1 {
+            return Err("a fix needs at least one AP");
+        }
+        Ok(())
     }
 
     /// Status implied by a consecutive-failure count.
-    pub fn status_for_failures(&self, consecutive_failures: u32) -> ApStatus {
+    pub(crate) fn status_for_failures(&self, consecutive_failures: u32) -> ApStatus {
         if consecutive_failures >= self.down_after {
             ApStatus::Down
         } else if consecutive_failures >= self.degraded_after {
@@ -94,7 +94,7 @@ impl HealthPolicy {
     }
 
     /// Whether a spectrum of the given age is too old to fuse.
-    pub fn is_stale(&self, age: u64) -> bool {
+    pub(crate) fn is_stale(&self, age: u64) -> bool {
         age > self.max_spectrum_age
     }
 }
@@ -124,7 +124,7 @@ impl HealthTracker {
     }
 
     /// Grows the tracker to cover at least `n_aps` APs (new APs healthy).
-    pub fn ensure_len(&mut self, n_aps: usize) {
+    pub(crate) fn ensure_len(&mut self, n_aps: usize) {
         if self.failures.len() < n_aps {
             self.failures.resize(n_aps, 0);
         }
@@ -158,7 +158,8 @@ impl HealthTracker {
     }
 
     /// Number of APs not `Down` under `policy`.
-    pub fn available_aps(&self, policy: &HealthPolicy) -> usize {
+    #[cfg(test)]
+    pub(crate) fn available_aps(&self, policy: &HealthPolicy) -> usize {
         (0..self.failures.len())
             .filter(|&ap| self.status(ap, policy) != ApStatus::Down)
             .count()
@@ -250,7 +251,7 @@ mod tests {
 
     #[test]
     fn default_policy_is_consistent() {
-        HealthPolicy::default().validate();
+        assert_eq!(HealthPolicy::default().check(), Ok(()));
     }
 
     #[test]
@@ -322,13 +323,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "degrade before")]
     fn inverted_thresholds_rejected() {
-        HealthPolicy {
+        let inverted = HealthPolicy {
             degraded_after: 6,
             down_after: 2,
             ..HealthPolicy::default()
-        }
-        .validate();
+        };
+        assert_eq!(
+            inverted.check(),
+            Err("an AP must degrade before it goes down")
+        );
     }
 }

@@ -31,7 +31,7 @@ use at_obs::LatencyBudget;
 use std::time::Duration;
 
 /// Bits per complex sample shipped from AP to server (16-bit I + 16-bit Q).
-pub const BITS_PER_SAMPLE: f64 = 32.0;
+pub(crate) const BITS_PER_SAMPLE: f64 = 32.0;
 
 /// The latency budget of one ArrayTrack location fix.
 #[derive(Clone, Copy, Debug)]
@@ -85,11 +85,6 @@ impl LatencyModel {
         let s =
             (self.detection + self.transfer + self.bus + self.processing - self.airtime).max(0.0);
         Duration::from_secs_f64(s)
-    }
-
-    /// Latency from the *start* of the frame (preamble arrival) to the fix.
-    pub fn total_from_frame_start(&self) -> Duration {
-        Duration::from_secs_f64(self.detection + self.transfer + self.bus + self.processing)
     }
 }
 
@@ -190,12 +185,5 @@ mod tests {
         assert!(
             (added - (m.detection + m.transfer + m.bus + m.processing - m.airtime)).abs() < 1e-9
         );
-    }
-
-    #[test]
-    fn total_from_frame_start_sums_stages() {
-        let m = LatencyModel::paper_defaults(222e-6, 50e-3);
-        let total = m.total_from_frame_start().as_secs_f64();
-        assert!((total - (16e-6 + 2.56e-3 + 30e-3 + 50e-3)).abs() < 1e-12);
     }
 }

@@ -71,7 +71,7 @@ impl ApPipelineConfig {
     }
 
     /// Whether the capture must include the off-row antenna row.
-    pub fn needs_offrow(&self) -> bool {
+    pub(crate) fn needs_offrow(&self) -> bool {
         self.symmetry != SymmetryMode::Off
     }
 }
@@ -375,9 +375,11 @@ impl ArrayTrackServer {
     ///
     /// # Panics
     /// Panics if the policy is internally inconsistent
-    /// (see [`HealthPolicy::validate`]).
+    /// (see [`HealthPolicy::check`]).
     pub fn with_policy(mut self, policy: HealthPolicy) -> Self {
-        policy.validate();
+        if let Err(e) = policy.check() {
+            panic!("{e}");
+        }
         self.policy = policy;
         self
     }
@@ -422,22 +424,20 @@ impl ArrayTrackServer {
     }
 
     /// The current health status of deployment AP `ap_id`.
-    pub fn ap_status(&self, ap_id: usize) -> ApStatus {
+    #[cfg(test)]
+    pub(crate) fn ap_status(&self, ap_id: usize) -> ApStatus {
         self.health.status(ap_id, &self.policy)
     }
 
-    /// The per-AP health tracker.
-    pub fn health(&self) -> &HealthTracker {
-        &self.health
-    }
-
     /// Forgets all tracked failures (e.g. after a maintenance window).
-    pub fn reset_health(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset_health(&mut self) {
         self.health = HealthTracker::default();
     }
 
     /// Number of AP observations accumulated.
-    pub fn observation_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn observation_count(&self) -> usize {
         self.observations.len()
     }
 
@@ -561,11 +561,6 @@ impl ArrayTrackServer {
             &self.policy,
             &mut self.scratch.borrow_mut(),
         )
-    }
-
-    /// The accumulated observations (for heatmap rendering).
-    pub fn observations(&self) -> &[ApObservation] {
-        &self.observations
     }
 }
 
@@ -838,8 +833,8 @@ mod tests {
             other => panic!("expected QuorumNotMet, got {other:?}"),
         }
         // Recovery: a successful acquisition resets AP 0 and quorum is met.
-        let pose = server.observations()[0].pose;
-        let spec = server.observations()[0].spectrum.clone();
+        let pose = server.observations[0].pose;
+        let spec = server.observations[0].spectrum.clone();
         server.add_observation_from(0, pose, spec, 0);
         let est = server.try_localize().expect("quorum restored");
         assert!(est.position.distance(target) < 0.3);

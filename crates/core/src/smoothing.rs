@@ -46,12 +46,6 @@ pub fn spatial_smooth_fb(rxx: &CMatrix, groups: usize) -> CMatrix {
     (&fwd + &bwd).scale(0.5)
 }
 
-/// The effective number of antennas after smoothing `m` antennas over
-/// `groups` groups.
-pub fn effective_antennas(m: usize, groups: usize) -> usize {
-    m + 1 - groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -75,7 +69,6 @@ mod tests {
         assert_eq!(spatial_smooth(&r, 1).rows(), 8);
         assert_eq!(spatial_smooth(&r, 2).rows(), 7);
         assert_eq!(spatial_smooth(&r, 3).rows(), 6);
-        assert_eq!(effective_antennas(8, 3), 6);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl AoaSpectrum {
     }
 
     /// Angular resolution in radians.
-    pub fn resolution(&self) -> f64 {
+    pub(crate) fn resolution(&self) -> f64 {
         TAU / self.bins() as f64
     }
 
@@ -68,7 +68,7 @@ impl AoaSpectrum {
 
     /// Mutable sample values (used by the multipath-suppression and
     /// symmetry-removal passes).
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
     }
 
@@ -106,7 +106,7 @@ impl AoaSpectrum {
     ///
     /// # Panics
     /// Panics if the bin counts differ.
-    pub fn copy_normalized_from(&mut self, src: &AoaSpectrum) {
+    pub(crate) fn copy_normalized_from(&mut self, src: &AoaSpectrum) {
         assert_eq!(
             self.values.len(),
             src.values.len(),
@@ -161,7 +161,7 @@ impl AoaSpectrum {
     /// Removes the peak at bin index nearest `theta`: walks downhill to the
     /// surrounding local minima and levels that span to the minimum value.
     /// Implements "remove peaks from the primary" (§2.4 step 2).
-    pub fn remove_peak(&mut self, theta: f64) {
+    pub(crate) fn remove_peak(&mut self, theta: f64) {
         let n = self.bins();
         let center = ((theta.rem_euclid(TAU)) / self.resolution()).round() as usize % n;
         // Walk to the local max near the requested bearing first (the
@@ -249,7 +249,7 @@ impl AoaSpectrum {
     }
 
     /// Multiplies the spectrum by a bearing-dependent window.
-    pub fn apply_window(&mut self, w: impl Fn(f64) -> f64) {
+    pub(crate) fn apply_window(&mut self, w: impl Fn(f64) -> f64) {
         for i in 0..self.bins() {
             let theta = self.theta_of(i);
             self.values[i] *= w(theta);
@@ -258,7 +258,8 @@ impl AoaSpectrum {
 
     /// Total power on the `[0, π)` side vs. the `[π, 2π)` side of the
     /// array axis (for symmetry removal, §2.3.4).
-    pub fn side_powers(&self) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn side_powers(&self) -> (f64, f64) {
         let n = self.bins();
         let mut up = 0.0;
         let mut down = 0.0;

@@ -41,7 +41,7 @@ pub fn ula_steering(elements: usize, theta: f64) -> CVector {
 ///
 /// Only the half circle `[0, π]` is stored: a plain ULA's steering repeats
 /// mirror-symmetrically (`cos θ = cos(−θ)`), which is exactly why its
-/// spectra are mirrored (§2.3.4). [`SteeringTable::scan`] reproduces the
+/// spectra are mirrored (§2.3.4). `SteeringTable::scan` reproduces the
 /// half-scan-plus-mirror loop all the estimators previously hand-rolled.
 #[derive(Clone, Debug)]
 pub struct SteeringTable {
@@ -95,16 +95,6 @@ impl SteeringTable {
         )
     }
 
-    /// Number of array elements the vectors describe.
-    pub fn elements(&self) -> usize {
-        self.elements
-    }
-
-    /// Number of angular bins of the full-circle scan.
-    pub fn bins(&self) -> usize {
-        self.bins
-    }
-
     /// The precomputed steering vector for bin `i` (`i ≤ bins/2`).
     pub fn vector(&self, i: usize) -> &CVector {
         &self.vectors[i]
@@ -113,7 +103,7 @@ impl SteeringTable {
     /// Evaluates `f(a(θ))` over the stored half circle and mirrors the
     /// result to `[0, 2π)` — the shared scan loop of every ULA estimator.
     /// Values are clamped to be non-negative.
-    pub fn scan(&self, f: impl Fn(&CVector) -> f64) -> AoaSpectrum {
+    pub(crate) fn scan(&self, f: impl Fn(&CVector) -> f64) -> AoaSpectrum {
         let bins = self.bins;
         let half = bins / 2;
         let mut values = vec![0.0; bins];
@@ -125,13 +115,6 @@ impl SteeringTable {
             }
         }
         AoaSpectrum::from_values(values)
-    }
-
-    /// The stored half-circle vectors as contiguous split re/im slabs
-    /// (`(bins/2 + 1) × elements`, row-major): the input shape of
-    /// [`NoiseSubspace::batch_projection`].
-    pub fn planar(&self) -> (&[f64], &[f64]) {
-        (&self.planar_re, &self.planar_im)
     }
 
     /// The MUSIC sweep as one batched SoA kernel call: evaluates
@@ -164,7 +147,7 @@ impl SteeringTable {
 
 /// Steering vector for arbitrary element positions `positions` (meters, in
 /// the array frame where +x is the array axis) at bearing `theta`.
-pub fn general_steering(positions: &[Point], theta: f64) -> CVector {
+pub(crate) fn general_steering(positions: &[Point], theta: f64) -> CVector {
     let u = Point::unit(theta);
     let lambda = wavelength();
     CVector::from_fn(positions.len(), |m| {
@@ -176,7 +159,7 @@ pub fn general_steering(positions: &[Point], theta: f64) -> CVector {
 /// off-row element (matching `at_channel::AntennaArray`'s layout: in-row
 /// elements centered on the origin, off-row element λ/4 perpendicular from
 /// element 0 — see `at_channel::array::offrow_offset` for why λ/4).
-pub fn array_frame_positions(elements: usize, offrow: bool) -> Vec<Point> {
+pub(crate) fn array_frame_positions(elements: usize, offrow: bool) -> Vec<Point> {
     let s = half_wavelength();
     let mut ps: Vec<Point> = (0..elements)
         .map(|m| pt((m as f64 - (elements as f64 - 1.0) / 2.0) * s, 0.0))
@@ -338,8 +321,8 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let c = SteeringTable::shared(4, 720);
         assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(c.elements(), 4);
-        assert_eq!(c.bins(), 720);
+        assert_eq!(c.elements, 4);
+        assert_eq!(c.bins, 720);
     }
 
     #[test]

@@ -13,53 +13,33 @@ use at_channel::geometry::angle_diff;
 /// The paper's grouping window: frames closer than 100 ms in time.
 pub const GROUPING_WINDOW_S: f64 = 0.100;
 
-/// The paper's peak-pairing tolerance: 5°.
-pub const PAPER_MATCH_TOLERANCE_RAD: f64 = 5.0 * std::f64::consts::PI / 180.0;
-
 /// The default pairing tolerance used here: 8°. Our simulated reflections
 /// wander in bearing (surface-roughness glint model), so a slightly wider
 /// window keeps the stable direct path paired without re-admitting moving
-/// reflections; the ablation bench exercises the paper's 5° too.
-pub const MATCH_TOLERANCE_RAD: f64 = 8.0 * std::f64::consts::PI / 180.0;
+/// reflections (the paper pairs within 5°).
+pub(crate) const MATCH_TOLERANCE_RAD: f64 = 8.0 * std::f64::consts::PI / 180.0;
 
 /// Relative peak-detection threshold used when pairing peaks. Low enough to
 /// see secondary reflection lobes, high enough to ignore the noise floor.
-pub const PEAK_THRESHOLD: f64 = 0.03;
-
-/// How many of the non-primary spectra must confirm a peak for it to
-/// survive (Fig. 8 step 2 says "paired with peaks on other AoA spectra"
-/// without specifying the quorum).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MatchQuorum {
-    /// Paired in every other spectrum: maximal suppression, but a single
-    /// frame where the direct peak wobbles past 5° kills it.
-    All,
-    /// Paired in at least half (rounded up) of the other spectra: with
-    /// the paper's ~90 % per-frame direct-path stability this keeps the
-    /// direct peak with ≈99.8 % probability over three frames while still
-    /// removing reflections that move in most frames.
-    Majority,
-}
+pub(crate) const PEAK_THRESHOLD: f64 = 0.03;
 
 /// Configuration for the suppression pass.
 #[derive(Clone, Copy, Debug)]
 pub struct SuppressionConfig {
     /// Angular pairing tolerance, radians.
-    pub match_tolerance: f64,
+    pub(crate) match_tolerance: f64,
     /// Relative peak threshold for the primary spectrum's peak list.
-    pub peak_threshold: f64,
+    pub(crate) peak_threshold: f64,
     /// Relative peak threshold when looking for *pairing* peaks in the
     /// other spectra. Lower than `peak_threshold`: a peak that merely
     /// shrank in another frame is still evidence of a stable bearing, and
     /// treating it as vanished would wrongly remove direct paths.
-    pub pairing_threshold: f64,
-    /// Pairing quorum across the non-primary spectra.
-    pub quorum: MatchQuorum,
+    pub(crate) pairing_threshold: f64,
     /// Attenuation applied to removed lobes. `0.0` flattens the lobe to
     /// the surrounding floor (the paper's hard removal); a small positive
     /// value keeps a residual so one wrong removal cannot entirely erase
     /// an AP's direct-path evidence from the synthesis product.
-    pub removal_attenuation: f64,
+    pub(crate) removal_attenuation: f64,
 }
 
 impl Default for SuppressionConfig {
@@ -68,7 +48,6 @@ impl Default for SuppressionConfig {
             match_tolerance: MATCH_TOLERANCE_RAD,
             peak_threshold: PEAK_THRESHOLD,
             pairing_threshold: PEAK_THRESHOLD / 3.0,
-            quorum: MatchQuorum::Majority,
             removal_attenuation: 0.15,
         }
     }
@@ -78,9 +57,14 @@ impl Default for SuppressionConfig {
 /// spectra from temporally-adjacent frames.
 ///
 /// The first spectrum is chosen as the primary ("arbitrarily choose one",
-/// Fig. 8 step 2). Peaks of the primary not paired with a peak in *every*
-/// other spectrum are removed. With fewer than two spectra the primary is
-/// returned unchanged (Fig. 8 step 1's fall-through).
+/// Fig. 8 step 2). Peaks of the primary not paired with a peak in at least
+/// half (rounded up) of the other spectra are removed. Fig. 8 step 2 says
+/// "paired with peaks on other AoA spectra" without fixing the quorum; with
+/// the paper's ~90 % per-frame direct-path stability a majority keeps the
+/// direct peak with ≈99.8 % probability over three frames, where requiring
+/// every spectrum would let one frame's wobble past the tolerance kill it.
+/// With fewer than two spectra the primary is returned unchanged (Fig. 8
+/// step 1's fall-through).
 pub fn suppress_multipath(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> AoaSpectrum {
     assert!(!spectra.is_empty(), "need at least one spectrum");
     let _t = at_obs::time_stage!(at_obs::stages::SUPPRESSION, "frames" => spectra.len());
@@ -89,11 +73,7 @@ pub fn suppress_multipath(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> A
         return primary;
     }
     let peaks = primary.find_peaks(cfg.peak_threshold);
-    let others = spectra.len() - 1;
-    let needed = match cfg.quorum {
-        MatchQuorum::All => others,
-        MatchQuorum::Majority => others.div_ceil(2),
-    };
+    let needed = (spectra.len() - 1).div_ceil(2);
     for peak in peaks {
         let matches = spectra[1..]
             .iter()
@@ -108,40 +88,6 @@ pub fn suppress_multipath(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> A
         }
     }
     primary
-}
-
-/// Outcome of comparing one bearing's peak across two spectra (the Table 1
-/// microbenchmark's unit of classification).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PeakFate {
-    /// A matching peak exists within 5° in the second spectrum.
-    Unchanged,
-    /// The peak moved by more than 5° or vanished.
-    Changed,
-}
-
-/// Classifies whether the peak nearest `bearing` in `before` survives in
-/// `after` (within `cfg.match_tolerance`), mirroring the paper's
-/// microbenchmark: "If the corresponding bearing peaks of the two spectra
-/// are within five degrees, we mark that bearing as unchanged."
-pub fn classify_peak(
-    before: &AoaSpectrum,
-    after: &AoaSpectrum,
-    bearing: f64,
-    cfg: &SuppressionConfig,
-) -> Option<PeakFate> {
-    let peaks = before.find_peaks(cfg.peak_threshold);
-    let near = peaks
-        .iter()
-        .filter(|p| angle_diff(p.theta, bearing) <= cfg.match_tolerance)
-        .max_by(|a, b| a.power.partial_cmp(&b.power).expect("finite"))?;
-    Some(
-        if after.has_peak_near(near.theta, cfg.match_tolerance, cfg.peak_threshold) {
-            PeakFate::Unchanged
-        } else {
-            PeakFate::Changed
-        },
-    )
 }
 
 /// Row of the Table 1 tally: joint fate of the direct-path peak and the
@@ -237,44 +183,27 @@ mod tests {
     }
 
     #[test]
-    fn all_quorum_requires_pairing_with_every_spectrum() {
-        // Reflection stable in spectrum 2 but moved in spectrum 3:
-        // removed under All, kept under the default Majority (1 of 2).
+    fn majority_quorum_keeps_peak_paired_in_half_the_others() {
+        // Reflection stable in spectrum 2 but moved in spectrum 3: paired
+        // in 1 of 2 other spectra, which is a majority, so it is kept.
         let a = lobes(&[(60.0, 1.0), (140.0, 0.8)]);
         let b = lobes(&[(60.0, 1.0), (140.0, 0.8)]);
         let c = lobes(&[(60.0, 1.0), (110.0, 0.8)]);
-        let strict = SuppressionConfig {
-            quorum: MatchQuorum::All,
-            ..SuppressionConfig::default()
-        };
-        let out = suppress_multipath(&[a.clone(), b.clone(), c.clone()], &strict);
-        assert!(out.has_peak_near(60f64.to_radians(), 0.05, 0.2));
-        assert!(!out.has_peak_near(140f64.to_radians(), 0.05, 0.2));
-
         let out = suppress_multipath(&[a, b, c], &SuppressionConfig::default());
+        assert!(out.has_peak_near(60f64.to_radians(), 0.05, 0.2));
         assert!(out.has_peak_near(140f64.to_radians(), 0.05, 0.2));
     }
 
     #[test]
     fn majority_quorum_protects_peak_that_wobbles_once() {
-        // Direct peak misses the 5° window in one of three frames — the
-        // Majority quorum keeps it, All would kill it.
+        // Direct peak misses the pairing window in one of three frames —
+        // the majority quorum keeps it at full height.
         let a = lobes(&[(60.0, 1.0)]);
         let b = lobes(&[(62.0, 1.0)]);
         let c = lobes(&[(70.0, 1.0)]); // wobbled beyond tolerance
-        let out = suppress_multipath(
-            &[a.clone(), b.clone(), c.clone()],
-            &SuppressionConfig::default(),
-        );
+        let out = suppress_multipath(&[a, b, c], &SuppressionConfig::default());
         assert!(out.has_peak_near(60f64.to_radians(), 0.05, 0.2));
-        let strict = SuppressionConfig {
-            quorum: MatchQuorum::All,
-            ..SuppressionConfig::default()
-        };
-        let out = suppress_multipath(&[a, b, c], &strict);
-        // Under All the (only) lobe is attenuated; relative peak-finding
-        // would still see it as the max, so check the absolute value.
-        assert!(out.sample(60f64.to_radians()) < 0.2);
+        assert!(out.sample(60f64.to_radians()) > 0.9);
     }
 
     #[test]
@@ -291,24 +220,6 @@ mod tests {
         let a = lobes(&[(80.0, 1.0), (150.0, 0.7), (220.0, 0.4)]);
         let out = suppress_multipath(&[a.clone(), a.clone()], &SuppressionConfig::default());
         assert_eq!(out.find_peaks(0.1).len(), 3);
-    }
-
-    #[test]
-    fn classify_peak_detects_movement() {
-        let cfg = SuppressionConfig::default();
-        let a = lobes(&[(60.0, 1.0)]);
-        let stable = lobes(&[(62.0, 1.0)]);
-        let moved = lobes(&[(80.0, 1.0)]);
-        assert_eq!(
-            classify_peak(&a, &stable, 60f64.to_radians(), &cfg),
-            Some(PeakFate::Unchanged)
-        );
-        assert_eq!(
-            classify_peak(&a, &moved, 60f64.to_radians(), &cfg),
-            Some(PeakFate::Changed)
-        );
-        // No peak near the queried bearing ⇒ no classification.
-        assert_eq!(classify_peak(&a, &stable, 170f64.to_radians(), &cfg), None);
     }
 
     #[test]

@@ -16,43 +16,6 @@ use crate::steering::{array_frame_positions, general_steering};
 use at_dsp::SnapshotBlock;
 use std::f64::consts::{PI, TAU};
 
-/// Bartlett (delay-and-sum) power of the full array toward bearing `theta`.
-///
-/// `block` must hold the in-row antennas in order followed by the off-row
-/// antenna as its last row; `elements` is the in-row count.
-pub fn bartlett_power(block: &SnapshotBlock, elements: usize, theta: f64) -> f64 {
-    assert_eq!(
-        block.antennas(),
-        elements + 1,
-        "expected {elements} in-row antennas plus the off-row element"
-    );
-    let positions = array_frame_positions(elements, true);
-    let a = general_steering(&positions, theta);
-    let rxx = block.correlation_matrix();
-    let ra = rxx.mul_vec(&a);
-    a.dot(&ra).re.max(0.0)
-}
-
-/// Total Bartlett power over each side of the array axis:
-/// `(power over θ ∈ (0,π), power over θ ∈ (π,2π))`.
-pub fn side_powers(block: &SnapshotBlock, elements: usize, bins: usize) -> (f64, f64) {
-    let positions = array_frame_positions(elements, true);
-    let rxx = block.correlation_matrix();
-    let mut up = 0.0;
-    let mut down = 0.0;
-    for i in 0..bins {
-        let theta = i as f64 * TAU / bins as f64;
-        let a = general_steering(&positions, theta);
-        let p = a.dot(&rxx.mul_vec(&a)).re.max(0.0);
-        if theta < PI {
-            up += p;
-        } else {
-            down += p;
-        }
-    }
-    (up, down)
-}
-
 /// Which half-plane a signal is on, as decided by the off-row antenna.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Side {
@@ -96,7 +59,11 @@ pub fn dominant_side(block: &SnapshotBlock, elements: usize) -> Side {
 /// In strong multipath a reflection on the ghost side can win the whole
 /// -side vote and erase the true direct path; prefer
 /// [`resolve_mirror_peaks`] (the pipeline default) which decides per peak.
-pub fn remove_symmetry(spectrum: &mut AoaSpectrum, block: &SnapshotBlock, elements: usize) -> Side {
+pub(crate) fn remove_symmetry(
+    spectrum: &mut AoaSpectrum,
+    block: &SnapshotBlock,
+    elements: usize,
+) -> Side {
     let side = dominant_side(block, elements);
     let keep_upper = side == Side::Upper;
     let n = spectrum.bins();
@@ -255,23 +222,5 @@ mod tests {
             spec.has_peak_near(theta, 0.05, 0.3),
             "true peak must survive"
         );
-    }
-
-    #[test]
-    fn bartlett_power_peaks_at_true_bearing() {
-        let theta = 100f64.to_radians();
-        let block = capture_at(theta, 15.0);
-        let at_true = bartlett_power(&block, 8, theta);
-        let at_mirror = bartlett_power(&block, 8, TAU - theta);
-        let at_far = bartlett_power(&block, 8, theta + 1.0);
-        assert!(at_true > at_mirror, "true {at_true} vs mirror {at_mirror}");
-        assert!(at_true > at_far);
-    }
-
-    #[test]
-    #[should_panic(expected = "off-row element")]
-    fn missing_offrow_row_panics() {
-        let block = SnapshotBlock::new(vec![vec![Complex64::ONE; 4]; 8]);
-        bartlett_power(&block, 8, 1.0);
     }
 }

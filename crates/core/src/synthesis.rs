@@ -96,7 +96,7 @@ impl SearchRegion {
     }
 
     /// Whether a point lies inside the region.
-    pub fn contains(&self, p: Point) -> bool {
+    pub(crate) fn contains(&self, p: Point) -> bool {
         (self.min.x..=self.max.x).contains(&p.x) && (self.min.y..=self.max.y).contains(&p.y)
     }
 }

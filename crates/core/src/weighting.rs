@@ -23,7 +23,7 @@ use crate::spectrum::AoaSpectrum;
 use std::f64::consts::PI;
 
 /// Lower edge of the full-confidence region, radians (15°).
-pub const INNER_EDGE: f64 = 15.0 * PI / 180.0;
+pub(crate) const INNER_EDGE: f64 = 15.0 * PI / 180.0;
 
 /// The geometry window `W(θ)` for a bearing measured from the array axis,
 /// evaluated on the folded angle so both mirror sides are treated alike.

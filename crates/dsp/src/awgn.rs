@@ -29,11 +29,6 @@ pub fn mean_power(xs: &[Complex64]) -> f64 {
     xs.iter().map(|z| z.norm_sqr()).sum::<f64>() / xs.len() as f64
 }
 
-/// Empirical SNR in dB of `signal` against `noise` sample blocks.
-pub fn measure_snr_db(signal: &[Complex64], noise: &[Complex64]) -> f64 {
-    linear_to_db(mean_power(signal) / mean_power(noise))
-}
-
 /// A circularly-symmetric complex Gaussian noise source with selectable
 /// per-sample power.
 ///
@@ -68,7 +63,8 @@ impl NoiseSource {
     }
 
     /// The total per-sample noise power `E|n|²`.
-    pub fn power(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn power(&self) -> f64 {
         2.0 * self.sigma * self.sigma
     }
 
@@ -95,12 +91,12 @@ mod rand_distr_compat {
 
     /// Zero-sized sampler producing pairs of independent N(0,1) values.
     #[derive(Clone, Copy, Debug)]
-    pub struct StandardNormalPair;
+    pub(crate) struct StandardNormalPair;
 
     impl StandardNormalPair {
         /// Draws two independent standard normal variates via Box–Muller.
         #[inline]
-        pub fn sample_pair<R: Rng>(&self, rng: &mut R) -> (f64, f64) {
+        pub(crate) fn sample_pair<R: Rng>(&self, rng: &mut R) -> (f64, f64) {
             // u1 in (0, 1] to keep ln finite.
             let u1: f64 = 1.0 - rng.gen::<f64>();
             let u2: f64 = rng.gen();
@@ -161,7 +157,7 @@ mod tests {
         assert!((linear_to_db(1.0 / src.power()) - 10.0).abs() < 1e-9);
         let signal = vec![Complex64::ONE; 20_000];
         let noise: Vec<_> = (0..20_000).map(|_| src.sample(&mut rng)).collect();
-        let snr = measure_snr_db(&signal, &noise);
+        let snr = linear_to_db(mean_power(&signal) / mean_power(&noise));
         assert!((snr - 10.0).abs() < 0.3, "measured {snr}");
     }
 

@@ -50,15 +50,6 @@ pub fn estimate_cfo(first: &[Complex64], second: &[Complex64], separation_s: f64
     Some(acc.arg() / (TAU * separation_s))
 }
 
-/// Removes a known CFO from a sample block in place: sample `i` (taken at
-/// `t0 + i/sample_rate` seconds) is rotated by `e^{-j2πΔf·t}`.
-pub fn correct_cfo(samples: &mut [Complex64], cfo_hz: f64, t0: f64, sample_rate: f64) {
-    for (i, z) in samples.iter_mut().enumerate() {
-        let t = t0 + i as f64 / sample_rate;
-        *z *= Complex64::cis(-TAU * cfo_hz * t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,22 +99,6 @@ mod tests {
     fn range_covers_wifi_tolerance() {
         // ±20 ppm at 2.44 GHz must be unambiguous at the LTS separation.
         assert!(max_cfo_hz() < 1.0 / (2.0 * LTS_SEPARATION_S));
-    }
-
-    #[test]
-    fn correction_undoes_rotation() {
-        let cfo = 25e3;
-        let fs = 40e6;
-        let clean: Vec<Complex64> = (0..32).map(|i| Complex64::cis(0.2 * i as f64)).collect();
-        let mut rotated: Vec<Complex64> = clean
-            .iter()
-            .enumerate()
-            .map(|(i, z)| *z * Complex64::cis(TAU * cfo * (1e-3 + i as f64 / fs)))
-            .collect();
-        correct_cfo(&mut rotated, cfo, 1e-3, fs);
-        for (a, b) in rotated.iter().zip(&clean) {
-            assert!((*a - *b).abs() < 1e-12);
-        }
     }
 
     #[test]

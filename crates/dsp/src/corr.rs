@@ -42,7 +42,7 @@ impl SnapshotBlock {
     }
 
     /// The array vector `x(t)` at snapshot `t`.
-    pub fn snapshot(&self, t: usize) -> CVector {
+    pub(crate) fn snapshot(&self, t: usize) -> CVector {
         CVector::from_fn(self.antennas(), |m| self.per_antenna[m][t])
     }
 
@@ -73,17 +73,6 @@ impl SnapshotBlock {
             r.add_outer_assign(&x, w);
         }
         r
-    }
-
-    /// Total received power averaged over antennas and snapshots.
-    pub fn mean_power(&self) -> f64 {
-        let total: f64 = self
-            .per_antenna
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|z| z.norm_sqr())
-            .sum();
-        total / (self.antennas() * self.snapshots()) as f64
     }
 }
 
@@ -139,15 +128,6 @@ mod tests {
         assert_eq!(t.antennas(), 2);
         // Truncating beyond length is a no-op.
         assert_eq!(block.truncated(99).snapshots(), 10);
-    }
-
-    #[test]
-    fn mean_power_accounts_all_streams() {
-        let block = SnapshotBlock::new(vec![
-            vec![c64(1.0, 0.0), c64(1.0, 0.0)],
-            vec![c64(0.0, 2.0), c64(0.0, 2.0)],
-        ]);
-        assert!((block.mean_power() - 2.5).abs() < 1e-12);
     }
 
     #[test]

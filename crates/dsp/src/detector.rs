@@ -51,17 +51,6 @@ impl DetectScratch {
         Self::default()
     }
 
-    /// The Schmidl–Cox timing metric left by [`SchmidlCox::metric_into`].
-    pub fn metric(&self) -> &[f64] {
-        &self.metric
-    }
-
-    /// The normalized correlation trace left by
-    /// [`MatchedFilter::correlation_into`].
-    pub fn correlation(&self) -> &[f64] {
-        &self.corr
-    }
-
     /// The suppressed, start-ordered detections left by
     /// [`MatchedFilter::detect_all_into`].
     pub fn detections(&self) -> &[Detection] {
@@ -110,22 +99,17 @@ impl SchmidlCox {
         }
     }
 
-    /// Overrides the plateau threshold (default 0.6).
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        self.threshold = threshold;
-        self
-    }
-
     /// Computes the timing metric `M(d)` for every valid offset.
-    pub fn metric(&self, rx: &[Complex64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn metric(&self, rx: &[Complex64]) -> Vec<f64> {
         let mut scratch = DetectScratch::new();
         self.metric_into(rx, &mut scratch);
         std::mem::take(&mut scratch.metric)
     }
 
-    /// [`Self::metric`] into a reusable workspace (`scratch.metric()`);
-    /// empty when the stream is too short for a single window.
-    pub fn metric_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
+    /// The timing metric `M(d)` for every valid offset, into a reusable
+    /// workspace; empty when the stream is too short for a single window.
+    pub(crate) fn metric_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
         let out = &mut scratch.metric;
         out.clear();
         let l = self.period;
@@ -286,16 +270,17 @@ impl MatchedFilter {
     ///
     /// Value at offset `d` is `|⟨ref, rx[d..]⟩| / ‖rx[d..d+N]‖`, which is 1
     /// for a noiseless, scaled copy of the preamble.
-    pub fn correlation(&self, rx: &[Complex64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn correlation(&self, rx: &[Complex64]) -> Vec<f64> {
         let mut scratch = DetectScratch::new();
         self.correlation_into(rx, &mut scratch);
         std::mem::take(&mut scratch.corr)
     }
 
-    /// [`Self::correlation`] into a reusable workspace
-    /// (`scratch.correlation()`); empty when the stream is shorter than
-    /// the reference.
-    pub fn correlation_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
+    /// The normalized correlation magnitude at every alignment, into a
+    /// reusable workspace; empty when the stream is shorter than the
+    /// reference.
+    pub(crate) fn correlation_into(&self, rx: &[Complex64], scratch: &mut DetectScratch) {
         let DetectScratch {
             prefix,
             corr,

@@ -10,7 +10,7 @@ use std::f64::consts::PI;
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
+pub(crate) enum Direction {
     /// Time → frequency, kernel `e^{-j2πkn/N}`.
     Forward,
     /// Frequency → time, kernel `e^{+j2πkn/N}` with `1/N` normalization.
@@ -89,7 +89,7 @@ impl FftPlan {
 ///
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
-pub fn fft_in_place(data: &mut [Complex64], dir: Direction) {
+pub(crate) fn fft_in_place(data: &mut [Complex64], dir: Direction) {
     let plan = FftPlan::new(data.len());
     match dir {
         Direction::Forward => plan.forward(data),

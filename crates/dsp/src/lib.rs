@@ -28,7 +28,7 @@ pub mod fft;
 pub mod preamble;
 
 pub use awgn::{db_to_linear, linear_to_db, NoiseSource};
-pub use cfo::{correct_cfo, estimate_cfo};
+pub use cfo::estimate_cfo;
 pub use corr::SnapshotBlock;
 pub use detector::{DetectScratch, Detection, MatchedFilter, SchmidlCox};
 pub use preamble::{Frame, Preamble, SAMPLE_RATE_HZ};

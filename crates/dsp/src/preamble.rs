@@ -18,16 +18,16 @@ use at_linalg::{c64, Complex64};
 use std::f64::consts::PI;
 
 /// OFDM subcarrier spacing Δf = 20 MHz / 64 = 312.5 kHz.
-pub const SUBCARRIER_SPACING_HZ: f64 = 312_500.0;
+pub(crate) const SUBCARRIER_SPACING_HZ: f64 = 312_500.0;
 
 /// Duration of one short training symbol: 0.8 µs.
-pub const SHORT_SYMBOL_S: f64 = 0.8e-6;
+pub(crate) const SHORT_SYMBOL_S: f64 = 0.8e-6;
 
 /// Duration of the short training section: 10 × 0.8 µs = 8 µs.
-pub const SHORT_SECTION_S: f64 = 8.0e-6;
+pub(crate) const SHORT_SECTION_S: f64 = 8.0e-6;
 
 /// Duration of the long-training guard interval: 1.6 µs.
-pub const LONG_GI_S: f64 = 1.6e-6;
+pub(crate) const LONG_GI_S: f64 = 1.6e-6;
 
 /// Duration of one long training symbol: 3.2 µs.
 pub const LONG_SYMBOL_S: f64 = 3.2e-6;
@@ -175,7 +175,7 @@ pub struct DataSymbols {
 
 impl DataSymbols {
     /// Generates `n` random data symbols from the given RNG.
-    pub fn random<R: rand::Rng>(n: usize, rng: &mut R) -> Self {
+    pub(crate) fn random<R: rand::Rng>(n: usize, rng: &mut R) -> Self {
         let pts = [
             c64(1.0, 1.0).scale(1.0 / 2.0f64.sqrt()),
             c64(1.0, -1.0).scale(1.0 / 2.0f64.sqrt()),
@@ -195,16 +195,16 @@ impl DataSymbols {
     }
 
     /// Symbol duration including cyclic prefix: 4 µs.
-    pub const SYMBOL_S: f64 = 4.0e-6;
+    pub(crate) const SYMBOL_S: f64 = 4.0e-6;
 
     /// Total duration of the data section.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.symbols.len() as f64 * Self::SYMBOL_S
     }
 
     /// Evaluates the data waveform at `t` seconds from the start of the data
     /// section (zero outside it). Unit average power.
-    pub fn eval(&self, t: f64) -> Complex64 {
+    pub(crate) fn eval(&self, t: f64) -> Complex64 {
         if t < 0.0 {
             return Complex64::ZERO;
         }

@@ -45,7 +45,8 @@ impl CalibrationRig {
     }
 
     /// The (simulation-internal) true external-path phase of cable `r`.
-    pub fn true_external_phase(&self, r: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn true_external_phase(&self, r: usize) -> f64 {
         self.external_phases[r]
     }
 
@@ -53,7 +54,7 @@ impl CalibrationRig {
     /// (optionally with cables `0` and `swap_with` exchanged) into the
     /// front end, and measures each radio's phase offset relative to
     /// radio 0 from the received samples.
-    pub fn measure<R: Rng>(
+    pub(crate) fn measure<R: Rng>(
         &self,
         fe: &FrontEnd,
         swap_with: Option<usize>,
@@ -130,7 +131,8 @@ pub struct Calibration {
 
 impl Calibration {
     /// An identity calibration (for perfect front ends).
-    pub fn identity(radios: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(radios: usize) -> Self {
         Self {
             offsets: vec![0.0; radios],
             external_mismatch: vec![0.0; radios],

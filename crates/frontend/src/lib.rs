@@ -21,4 +21,4 @@ pub mod radio;
 
 pub use buffer::{FrameBuffer, FrameEntry};
 pub use calibration::{Calibration, CalibrationRig};
-pub use radio::{FrontEnd, ANTSEL_SWITCH_S};
+pub use radio::FrontEnd;

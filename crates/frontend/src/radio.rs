@@ -14,7 +14,7 @@ use rand::SeedableRng;
 /// Hardware switching time between a radio's two antenna ports: 500 ns
 /// during which "the received signal is highly distorted and unusable"
 /// (paper §2.2, footnote 1).
-pub const ANTSEL_SWITCH_S: f64 = 500e-9;
+pub(crate) const ANTSEL_SWITCH_S: f64 = 500e-9;
 
 /// A bank of radio front ends at an AP.
 #[derive(Clone, Debug)]
@@ -41,7 +41,8 @@ impl FrontEnd {
 
     /// An idealized front end with zero phase offsets (for algorithm tests
     /// that want to bypass calibration).
-    pub fn perfect(radios: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn perfect(radios: usize) -> Self {
         Self {
             phase_offsets: vec![0.0; radios],
             sample_rate: at_dsp::SAMPLE_RATE_HZ,
@@ -107,26 +108,12 @@ impl FrontEnd {
     /// Returns a [`SnapshotBlock`] with the port-A rows first, then one
     /// row per connected port-B antenna, plus the matching antenna indices.
     ///
-    /// Assumes the transmitter and AP share a carrier frequency; with a
-    /// client CFO use [`FrontEnd::diversity_capture_cfo`], which de-rotates
-    /// the lower set by the inter-symbol CFO phase.
-    pub fn diversity_capture(
-        &self,
-        streams: &[Vec<Complex64>],
-        port_a: &[Option<usize>],
-        port_b: &[Option<usize>],
-        lts0_start: usize,
-        lts1_start: usize,
-        k: usize,
-    ) -> (SnapshotBlock, Vec<usize>) {
-        self.diversity_capture_cfo(streams, port_a, port_b, lts0_start, lts1_start, k, 0.0)
-    }
-
-    /// [`FrontEnd::diversity_capture`] with correction for an estimated
-    /// client carrier frequency offset (Hz): lower-set samples were taken
-    /// `(lts1_start − lts0_start)/fs` seconds after their upper-set
-    /// counterparts, so they carry an extra `e^{j2πΔf·ΔT}` that must be
-    /// removed before the two sets can be treated as simultaneous.
+    /// `cfo_hz` corrects for an estimated client carrier frequency offset:
+    /// lower-set samples were taken `(lts1_start − lts0_start)/fs` seconds
+    /// after their upper-set counterparts, so they carry an extra
+    /// `e^{j2πΔf·ΔT}` that must be removed before the two sets can be
+    /// treated as simultaneous (`0.0` when the transmitter and AP share a
+    /// carrier frequency).
     #[allow(clippy::too_many_arguments)]
     pub fn diversity_capture_cfo(
         &self,
@@ -260,7 +247,8 @@ mod tests {
         let port_a: Vec<Option<usize>> = (0..8).map(Some).collect();
         let mut port_b = vec![None; 8];
         port_b[0] = Some(8); // ninth antenna on radio 0's port B
-        let (block, ants) = fe.diversity_capture(&streams, &port_a, &port_b, 0, period, 10);
+        let (block, ants) =
+            fe.diversity_capture_cfo(&streams, &port_a, &port_b, 0, period, 10, 0.0);
         assert_eq!(block.antennas(), 9);
         assert_eq!(ants, vec![0, 1, 2, 3, 4, 5, 6, 7, 8]);
         // Periodicity makes the lower-set row equal a same-δ upper capture.
@@ -279,7 +267,7 @@ mod tests {
             .collect();
         let port_a: Vec<Option<usize>> = (0..8).map(Some).collect();
         let port_b: Vec<Option<usize>> = (0..8).map(|r| Some(r + 8)).collect();
-        let (block, ants) = fe.diversity_capture(&streams, &port_a, &port_b, 0, 128, 10);
+        let (block, ants) = fe.diversity_capture_cfo(&streams, &port_a, &port_b, 0, 128, 10, 0.0);
         assert_eq!(block.antennas(), 16);
         assert_eq!(ants.len(), 16);
         assert_eq!(&ants[8..], &[8, 9, 10, 11, 12, 13, 14, 15]);
@@ -296,7 +284,7 @@ mod tests {
         ];
         let port_a = vec![Some(0), Some(1)];
         let port_b = vec![Some(2), Some(3)];
-        let (block, _) = fe.diversity_capture(&streams, &port_a, &port_b, 0, 128, 5);
+        let (block, _) = fe.diversity_capture_cfo(&streams, &port_a, &port_b, 0, 128, 5, 0.0);
         // Rows 0 and 2 share radio 0; rows 1 and 3 share radio 1.
         assert!((block.stream(0)[0] - block.stream(2)[0]).abs() < 1e-12);
         assert!((block.stream(1)[0] - block.stream(3)[0]).abs() < 1e-12);

@@ -39,8 +39,6 @@ impl Complex64 {
     pub const ZERO: Complex64 = c64(0.0, 0.0);
     /// Multiplicative identity.
     pub const ONE: Complex64 = c64(1.0, 0.0);
-    /// The imaginary unit `j` (electrical-engineering notation).
-    pub const J: Complex64 = c64(0.0, 1.0);
 
     /// Creates a complex number from rectangular parts.
     #[inline]
@@ -98,34 +96,15 @@ impl Complex64 {
 
     /// Multiplicative inverse. Infinite components for zero input.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let n = self.norm_sqr();
         c64(self.re / n, -self.im / n)
-    }
-
-    /// Complex exponential `e^z`.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Self::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal square root (branch cut on the negative real axis).
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        let (r, theta) = self.to_polar();
-        Self::from_polar(r.sqrt(), theta / 2.0)
     }
 
     /// Scales the number by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         c64(self.re * k, self.im * k)
-    }
-
-    /// True if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 
     /// True if both components are finite.
@@ -352,24 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn j_squared_is_minus_one() {
-        assert!(close(Complex64::J * Complex64::J, c64(-1.0, 0.0)));
-    }
-
-    #[test]
-    fn exp_of_j_pi_is_minus_one() {
-        assert!(close(c64(0.0, PI).exp(), c64(-1.0, 0.0)));
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        for z in [c64(4.0, 0.0), c64(0.0, 2.0), c64(-1.0, 0.0), c64(3.0, -7.0)] {
-            let s = z.sqrt();
-            assert!(close(s * s, z), "sqrt failed for {z}");
-        }
-    }
-
-    #[test]
     fn mul_add_matches_expanded() {
         let acc = c64(0.5, 0.5);
         let a = c64(2.0, -1.0);
@@ -401,9 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn nan_and_finite_checks() {
-        assert!(c64(f64::NAN, 0.0).is_nan());
-        assert!(!c64(1.0, 2.0).is_nan());
+    fn finite_checks() {
         assert!(c64(1.0, 2.0).is_finite());
         assert!(!c64(f64::INFINITY, 0.0).is_finite());
     }

@@ -337,7 +337,7 @@ mod tests {
         assert!(e.eigenvalues[1].abs() < 1e-10);
         assert!(e.eigenvalues[2].abs() < 1e-10);
         // Top eigenvector is parallel to v: |⟨v̂, ê⟩| = 1.
-        let vhat = v.normalized();
+        let vhat = v.scale(1.0 / v.norm());
         let corr = vhat.dot(&e.eigenvector(0)).abs();
         assert!((corr - 1.0).abs() < 1e-10);
     }

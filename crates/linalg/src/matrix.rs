@@ -61,7 +61,8 @@ impl CMatrix {
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -75,35 +76,15 @@ impl CMatrix {
         &self.data
     }
 
-    /// Returns row `r` as a vector.
-    pub fn row(&self, r: usize) -> CVector {
-        assert!(r < self.rows);
-        CVector::from(&self.data[r * self.cols..(r + 1) * self.cols])
-    }
-
     /// Returns column `c` as a vector.
-    pub fn col(&self, c: usize) -> CVector {
+    pub(crate) fn col(&self, c: usize) -> CVector {
         assert!(c < self.cols);
         CVector::from_fn(self.rows, |r| self[(r, c)])
-    }
-
-    /// Transpose (no conjugation).
-    pub fn transpose(&self) -> CMatrix {
-        CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
     }
 
     /// Conjugate (Hermitian) transpose `Aᴴ`.
     pub fn hermitian_transpose(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
-    }
-
-    /// Element-wise conjugate.
-    pub fn conj(&self) -> CMatrix {
-        CMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|z| z.conj()).collect(),
-        }
     }
 
     /// Scales all entries by a real factor.
@@ -112,15 +93,6 @@ impl CMatrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|z| z.scale(k)).collect(),
-        }
-    }
-
-    /// Scales all entries by a complex factor.
-    pub fn scale_c(&self, k: Complex64) -> CMatrix {
-        CMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|z| *z * k).collect(),
         }
     }
 
@@ -157,7 +129,7 @@ impl CMatrix {
 
     /// Sum of off-diagonal squared magnitudes; the Jacobi sweep's
     /// convergence measure.
-    pub fn off_diagonal_sqr(&self) -> f64 {
+    pub(crate) fn off_diagonal_sqr(&self) -> f64 {
         let mut s = 0.0;
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -311,7 +283,12 @@ mod tests {
         let a = CMatrix::from_rows(
             2,
             2,
-            vec![Complex64::ONE, Complex64::J, Complex64::ZERO, c64(2.0, 0.0)],
+            vec![
+                Complex64::ONE,
+                c64(0.0, 1.0),
+                Complex64::ZERO,
+                c64(2.0, 0.0),
+            ],
         );
         let b = CMatrix::from_rows(
             2,
@@ -319,13 +296,13 @@ mod tests {
             vec![
                 Complex64::ONE,
                 Complex64::ZERO,
-                Complex64::J,
+                c64(0.0, 1.0),
                 Complex64::ONE,
             ],
         );
         let p = &a * &b;
         assert_eq!(p[(0, 0)], c64(0.0, 0.0));
-        assert_eq!(p[(0, 1)], Complex64::J);
+        assert_eq!(p[(0, 1)], c64(0.0, 1.0));
         assert_eq!(p[(1, 0)], c64(0.0, 2.0));
         assert_eq!(p[(1, 1)], c64(2.0, 0.0));
     }

@@ -63,7 +63,8 @@ impl NoiseSubspace {
     }
 
     /// Number of noise dimensions `M − D`.
-    pub fn dims(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dims(&self) -> usize {
         self.re.len().checked_div(self.elements).unwrap_or(0)
     }
 
@@ -72,7 +73,7 @@ impl NoiseSubspace {
     ///
     /// # Panics
     /// Panics if either slice length differs from [`Self::elements`].
-    pub fn projection_split(&self, a_re: &[f64], a_im: &[f64]) -> f64 {
+    pub(crate) fn projection_split(&self, a_re: &[f64], a_im: &[f64]) -> f64 {
         let m = self.elements;
         assert_eq!(a_re.len(), m, "probe length must match element count");
         assert_eq!(a_im.len(), m, "probe length must match element count");
@@ -91,7 +92,7 @@ impl NoiseSubspace {
     }
 
     /// The quadratic form `aᴴ·E_N·E_Nᴴ·a` for one complex probe vector.
-    /// Bit-identical to [`Self::projection_split`] on the same values (the
+    /// Bit-identical to `Self::projection_split` on the same values (the
     /// accumulation order is the same).
     ///
     /// # Panics

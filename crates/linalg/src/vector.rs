@@ -14,7 +14,8 @@ pub struct CVector {
 
 impl CVector {
     /// A vector of `n` zeros.
-    pub fn zeros(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn zeros(n: usize) -> Self {
         Self {
             data: vec![Complex64::ZERO; n],
         }
@@ -22,7 +23,7 @@ impl CVector {
 
     /// Builds a vector from any iterator of complex values.
     #[allow(clippy::should_implement_trait)] // inherent name kept for call-site brevity
-    pub fn from_iter<I: IntoIterator<Item = Complex64>>(iter: I) -> Self {
+    pub(crate) fn from_iter<I: IntoIterator<Item = Complex64>>(iter: I) -> Self {
         Self {
             data: iter.into_iter().collect(),
         }
@@ -46,18 +47,8 @@ impl CVector {
     }
 
     /// Read-only view of the underlying storage.
-    pub fn as_slice(&self) -> &[Complex64] {
+    pub(crate) fn as_slice(&self) -> &[Complex64] {
         &self.data
-    }
-
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [Complex64] {
-        &mut self.data
-    }
-
-    /// Consumes the vector, returning its storage.
-    pub fn into_vec(self) -> Vec<Complex64> {
-        self.data
     }
 
     /// Hermitian inner product `selfᴴ · rhs` (left operand conjugated).
@@ -78,23 +69,8 @@ impl CVector {
     }
 
     /// Squared Euclidean norm `Σ|zᵢ|²`.
-    pub fn norm_sqr(&self) -> f64 {
+    pub(crate) fn norm_sqr(&self) -> f64 {
         self.data.iter().map(|z| z.norm_sqr()).sum()
-    }
-
-    /// Returns a unit-norm copy; zero vectors are returned unchanged.
-    pub fn normalized(&self) -> CVector {
-        let n = self.norm();
-        if n == 0.0 {
-            self.clone()
-        } else {
-            self.scale(1.0 / n)
-        }
-    }
-
-    /// Element-wise conjugate.
-    pub fn conj(&self) -> CVector {
-        CVector::from_iter(self.data.iter().map(|z| z.conj()))
     }
 
     /// Scales every element by a real factor.
@@ -103,7 +79,7 @@ impl CVector {
     }
 
     /// Scales every element by a complex factor.
-    pub fn scale_c(&self, k: Complex64) -> CVector {
+    pub(crate) fn scale_c(&self, k: Complex64) -> CVector {
         CVector::from_iter(self.data.iter().map(|z| *z * k))
     }
 
@@ -180,7 +156,7 @@ mod tests {
     #[test]
     fn dot_conjugates_left_side() {
         // ⟨j, 1⟩ = conj(j)·1 = -j
-        let a = CVector::from(vec![Complex64::J]);
+        let a = CVector::from(vec![c64(0.0, 1.0)]);
         let b = CVector::from(vec![Complex64::ONE]);
         assert_eq!(a.dot(&b), c64(0.0, -1.0));
     }
@@ -194,20 +170,12 @@ mod tests {
     }
 
     #[test]
-    fn normalization() {
-        let v = CVector::from(vec![c64(3.0, 0.0), c64(0.0, 4.0)]);
-        assert!((v.normalized().norm() - 1.0).abs() < 1e-12);
-        // Zero vector stays zero.
-        assert_eq!(CVector::zeros(3).normalized(), CVector::zeros(3));
-    }
-
-    #[test]
     fn arithmetic_ops() {
         let a = CVector::from(vec![c64(1.0, 0.0), c64(0.0, 1.0)]);
         let b = CVector::from(vec![c64(1.0, 1.0), c64(2.0, 0.0)]);
         assert_eq!((&a + &b)[0], c64(2.0, 1.0));
         assert_eq!((&a - &b)[1], c64(-2.0, 1.0));
-        assert_eq!((&a * c64(0.0, 1.0))[0], Complex64::J);
+        assert_eq!((&a * c64(0.0, 1.0))[0], c64(0.0, 1.0));
     }
 
     #[test]

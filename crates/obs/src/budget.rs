@@ -20,9 +20,6 @@ pub struct LatencyBudget {
 }
 
 impl LatencyBudget {
-    /// The stage keys a budget is built from, in pipeline order.
-    pub const STAGES: [&'static str; 3] = [stages::DETECT, stages::SPECTRUM, stages::FUSION];
-
     /// Reads the budget from a snapshot's `at_stage_seconds` histograms.
     /// Returns `None` if any of the three stages has no observations.
     pub fn from_snapshot(s: &MetricsSnapshot) -> Option<Self> {
@@ -44,7 +41,7 @@ impl LatencyBudget {
         self.spectrum_ms + self.fusion_ms
     }
 
-    /// The stage values in [`Self::STAGES`] order.
+    /// The stage values in pipeline order: detect, spectrum, fusion.
     pub fn stage_ms(&self) -> [(&'static str, f64); 3] {
         [
             (stages::DETECT, self.detect_ms),

@@ -42,7 +42,4 @@ pub use budget::{BudgetViolation, LatencyBudget};
 pub use metrics::{global, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use stages::StageSpan;
-pub use trace::{
-    clear_sink, set_sink, span, tracing_enabled, JsonLinesSink, RingBufferSink, Span, SpanRecord,
-    TraceSink,
-};
+pub use trace::{clear_sink, set_sink, span, RingBufferSink, Span, SpanRecord, TraceSink};

@@ -58,7 +58,7 @@ impl Gauge {
     }
 
     /// Adds `delta` (compare-and-swap loop; lock-free).
-    pub fn add(&self, delta: f64) {
+    pub(crate) fn add(&self, delta: f64) {
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + delta).to_bits();
@@ -94,7 +94,7 @@ pub struct Histogram {
 /// Default duration buckets, seconds: powers of two from 1 µs to ≈ 8.4 s.
 /// Wide enough for every pipeline stage (a MUSIC frame is ~10⁻⁴ s, a cold
 /// exhaustive localize ~10⁻² s) with ≤ 2× relative quantile error.
-pub fn duration_buckets() -> Vec<f64> {
+pub(crate) fn duration_buckets() -> Vec<f64> {
     (0..24).map(|k| 1e-6 * f64::powi(2.0, k)).collect()
 }
 
@@ -103,7 +103,7 @@ impl Histogram {
     ///
     /// # Panics
     /// Panics if `bounds` is empty, unsorted, or non-finite.
-    pub fn with_buckets(bounds: &[f64]) -> Self {
+    pub(crate) fn with_buckets(bounds: &[f64]) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one bucket");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
@@ -119,11 +119,6 @@ impl Histogram {
         }
     }
 
-    /// A histogram with the default [`duration_buckets`].
-    pub fn for_durations() -> Self {
-        Self::with_buckets(&duration_buckets())
-    }
-
     /// Records one observation (lock-free: one atomic add per call plus
     /// the sum CAS).
     pub fn observe(&self, v: f64) {
@@ -131,11 +126,6 @@ impl Histogram {
         self.counts[idx].fetch_add(1, Ordering::Relaxed);
         self.sum.add(v);
         self.count.inc();
-    }
-
-    /// The bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// A point-in-time copy of the histogram state.
@@ -195,23 +185,18 @@ impl HistogramSnapshot {
     }
 
     /// Median estimate.
-    pub fn p50(&self) -> Option<f64> {
+    pub(crate) fn p50(&self) -> Option<f64> {
         self.quantile(0.50)
     }
 
     /// 95th-percentile estimate.
-    pub fn p95(&self) -> Option<f64> {
+    pub(crate) fn p95(&self) -> Option<f64> {
         self.quantile(0.95)
     }
 
     /// 99th-percentile estimate.
-    pub fn p99(&self) -> Option<f64> {
+    pub(crate) fn p99(&self) -> Option<f64> {
         self.quantile(0.99)
-    }
-
-    /// Mean of all observations (`sum / count`).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
     }
 }
 
@@ -239,7 +224,7 @@ impl MetricId {
     }
 
     /// Canonical `name{k="v",...}` form (Prometheus series syntax).
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         if self.labels.is_empty() {
             return self.name.clone();
         }
@@ -323,7 +308,7 @@ impl Registry {
     ///
     /// # Panics
     /// Panics if the series is already registered as a different type.
-    pub fn histogram_with(
+    pub(crate) fn histogram_with(
         &self,
         name: &str,
         labels: &[(&str, &str)],
@@ -426,7 +411,6 @@ mod tests {
         assert!((s.p95().unwrap() - 3.8).abs() < 1e-12);
         assert!((s.quantile(0.0).unwrap() - 0.0).abs() < 1e-12);
         assert!((s.quantile(1.0).unwrap() - 4.0).abs() < 1e-12);
-        assert!((s.mean().unwrap() - 2.02).abs() < 1e-12);
     }
 
     #[test]
@@ -440,9 +424,8 @@ mod tests {
 
     #[test]
     fn empty_histogram_has_no_quantiles() {
-        let s = Histogram::for_durations().snapshot();
+        let s = Histogram::with_buckets(&duration_buckets()).snapshot();
         assert_eq!(s.p50(), None);
-        assert_eq!(s.mean(), None);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub struct MetricsSnapshot {
 
 impl MetricsSnapshot {
     /// Looks up a series by name and labels.
-    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+    pub(crate) fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
         let mut labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))

@@ -46,8 +46,9 @@ pub const SERVE_QUEUE: &str = "serve_queue";
 /// (at-serve worker).
 pub const SERVE_BATCH: &str = "serve_batch";
 
-/// Every stage name, in pipeline order (export and doc tooling).
-pub const ALL_STAGES: &[&str] = &[
+/// Every stage name, in pipeline order.
+#[cfg(test)]
+pub(crate) const ALL_STAGES: &[&str] = &[
     CAPTURE,
     DETECT,
     SMOOTHING,
@@ -96,7 +97,8 @@ impl StageSpan {
 
     /// Starts timing `stage`, resolving the histogram through the registry
     /// (fine off the hot path).
-    pub fn new(stage: &'static str) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(stage: &'static str) -> Self {
         Self::with_histogram(stage, stage_histogram(stage))
     }
 

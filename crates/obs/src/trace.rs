@@ -1,14 +1,12 @@
-//! The structured tracing facade: spans with stage/AP/client fields, a
-//! ring-buffer subscriber, and an optional JSON-lines sink.
+//! The structured tracing facade: spans with stage/AP/client fields and a
+//! ring-buffer subscriber.
 //!
 //! Tracing is **off by default** and costs one relaxed atomic load per
 //! span when off — the hot path's only mandatory work is the histogram
 //! observation a [`StageSpan`](crate::stages::StageSpan) records. When a
-//! sink is installed (ring buffer for tests and postmortems, JSON lines
-//! for offline analysis), finished spans are delivered to it as
-//! [`SpanRecord`]s.
+//! sink is installed (a ring buffer for tests and postmortems), finished
+//! spans are delivered to it as [`SpanRecord`]s.
 
-use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -82,11 +80,6 @@ impl RingBufferSink {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all buffered records.
-    pub fn clear(&self) {
-        self.buf.lock().expect("ring poisoned").clear();
-    }
 }
 
 impl TraceSink for RingBufferSink {
@@ -96,27 +89,6 @@ impl TraceSink for RingBufferSink {
             buf.pop_front();
         }
         buf.push_back(rec);
-    }
-}
-
-/// Writes each span as one JSON line to the wrapped writer (a file, a
-/// pipe). Errors are swallowed: tracing must never take the pipeline down.
-pub struct JsonLinesSink<W: Write + Send> {
-    w: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLinesSink<W> {
-    /// Wraps a writer.
-    pub fn new(w: W) -> Self {
-        Self { w: Mutex::new(w) }
-    }
-}
-
-impl<W: Write + Send> TraceSink for JsonLinesSink<W> {
-    fn record(&self, rec: SpanRecord) {
-        if let Ok(mut w) = self.w.lock() {
-            let _ = writeln!(w, "{}", rec.to_json());
-        }
     }
 }
 
@@ -137,7 +109,7 @@ pub fn clear_sink() {
 }
 
 /// Whether a sink is installed (one relaxed load; the hot path's guard).
-pub fn tracing_enabled() -> bool {
+pub(crate) fn tracing_enabled() -> bool {
     ENABLED.load(Ordering::Acquire)
 }
 
@@ -147,9 +119,8 @@ pub(crate) fn deliver(rec: SpanRecord) {
     }
 }
 
-/// An in-flight span. Create via [`span`], attach fields with
-/// [`Span::field`], and it reports itself on drop. Field formatting is
-/// skipped entirely when no sink is installed.
+/// An in-flight span. Create via [`span`]; it reports itself on drop.
+/// Field formatting is skipped entirely when no sink is installed.
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
@@ -168,16 +139,12 @@ pub fn span(name: &'static str) -> Span {
 
 impl Span {
     /// Attaches a structured field (no-op unless a sink is installed).
-    pub fn field(mut self, key: &'static str, value: impl std::fmt::Display) -> Self {
+    #[cfg(test)]
+    pub(crate) fn field(mut self, key: &'static str, value: impl std::fmt::Display) -> Self {
         if tracing_enabled() {
             self.fields.push((key, value.to_string()));
         }
         self
-    }
-
-    /// The span's elapsed time so far.
-    pub fn elapsed(&self) -> std::time::Duration {
-        self.start.elapsed()
     }
 }
 
@@ -243,16 +210,13 @@ mod tests {
     }
 
     #[test]
-    fn json_lines_sink_writes_one_line_per_span() {
-        let buf: Vec<u8> = Vec::new();
-        let sink = JsonLinesSink::new(buf);
-        sink.record(SpanRecord {
+    fn span_record_json_is_one_escaped_line() {
+        let line = SpanRecord {
             name: "x",
             fields: vec![("stage", "eig \"q\"".to_string())],
             duration_ns: 42,
-        });
-        let w = sink.w.into_inner().unwrap();
-        let line = String::from_utf8(w).unwrap();
+        }
+        .to_json();
         assert_eq!(line.lines().count(), 1);
         assert!(line.contains("\"span\":\"x\""));
         assert!(line.contains("\"duration_ns\":42"));

@@ -48,7 +48,7 @@ use at_serve::{ClientKey, ServiceConfig};
 pub const SEGMENT_MAGIC: [u8; 8] = *b"ATJRNL01";
 
 /// Journal format version written by this crate. Version 2 added
-/// [`et::EPOCH`] records (topology reconfigurations) and switched the
+/// `et::EPOCH` records (topology reconfigurations) and switched the
 /// header fingerprint to the canonical `at-config` one; version-1
 /// journals (which by construction hold no epoch records) still decode.
 pub const FORMAT_VERSION: u32 = 2;
@@ -59,43 +59,43 @@ pub const SEGMENT_HEADER_LEN: usize = 48;
 /// Hard cap on a single record payload. The largest legitimate record (a
 /// lossless 65536-bin spectrum submission) is ~512 KiB; anything larger
 /// is corruption, rejected before allocation.
-pub const REC_MAX: usize = 1 << 21;
+pub(crate) const REC_MAX: usize = 1 << 21;
 
 /// Record type bytes (`et` = event type).
 pub mod et {
     /// An admitted keyed spectrum submission.
-    pub const SUBMIT: u8 = 1;
+    pub(crate) const SUBMIT: u8 = 1;
     /// A keyed localize request, at the instant its session was snapshot.
-    pub const QUERY: u8 = 2;
+    pub(crate) const QUERY: u8 = 2;
     /// The reply the live server produced for an earlier `QUERY`.
-    pub const OUTCOME: u8 = 3;
+    pub(crate) const OUTCOME: u8 = 3;
     /// An AP acquisition-failure report.
-    pub const FAILURE: u8 = 4;
+    pub(crate) const FAILURE: u8 = 4;
     /// One staleness refresh tick of the session store.
-    pub const TICK: u8 = 5;
+    pub(crate) const TICK: u8 = 5;
     /// Sessions evicted by the idle reaper.
-    pub const IDLE_REAP: u8 = 6;
+    pub(crate) const IDLE_REAP: u8 = 6;
     /// A topology reconfiguration committed (format v2): everything
     /// before this record belongs to the previous epoch, everything
     /// after to the new one.
-    pub const EPOCH: u8 = 7;
+    pub(crate) const EPOCH: u8 = 7;
 }
 
 /// Outcome kind bytes within an [`et::OUTCOME`] record.
 mod ok_ {
-    pub const FIX: u8 = 0;
-    pub const FAILED: u8 = 1;
-    pub const OVERLOADED: u8 = 2;
-    pub const DEADLINE: u8 = 3;
-    pub const SHUTTING_DOWN: u8 = 4;
+    pub(crate) const FIX: u8 = 0;
+    pub(crate) const FAILED: u8 = 1;
+    pub(crate) const OVERLOADED: u8 = 2;
+    pub(crate) const DEADLINE: u8 = 3;
+    pub(crate) const SHUTTING_DOWN: u8 = 4;
 }
 
 /// Localize-error codes within an [`ok_::FAILED`] outcome (mirrors the
 /// wire protocol's `FAILED` encoding).
 mod ec {
-    pub const NO_OBSERVATIONS: u8 = 0;
-    pub const QUORUM_NOT_MET: u8 = 1;
-    pub const RESOLUTION_MISMATCH: u8 = 2;
+    pub(crate) const NO_OBSERVATIONS: u8 = 0;
+    pub(crate) const QUORUM_NOT_MET: u8 = 1;
+    pub(crate) const RESOLUTION_MISMATCH: u8 = 2;
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ const CRC_TABLE: [u32; 256] = {
 };
 
 /// IEEE CRC-32 of `bytes` (the checksum guarding every record payload).
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
@@ -146,7 +146,7 @@ pub struct JournalMeta {
     pub bins: u32,
     /// Session-store resident-spectra cap (eviction order depends on it).
     pub max_resident_spectra: u64,
-    /// [`config_fingerprint`] — the canonical `at-config` fingerprint of
+    /// `config_fingerprint` — the canonical `at-config` fingerprint of
     /// the epoch-0 [`at_config::SystemConfig`], the same number the live
     /// server reports in `TopologyInfo` before any reconfiguration.
     pub fingerprint: u64,
@@ -243,21 +243,6 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable label for metrics/reporting.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Event::Submit { .. } => "submit",
-            Event::Query { .. } => "query",
-            Event::Outcome { .. } => "outcome",
-            Event::Failure { .. } => "failure",
-            Event::Tick => "tick",
-            Event::IdleReap { .. } => "idle_reap",
-            Event::Epoch { .. } => "epoch",
-        }
-    }
-}
-
 /// The reply the live server produced for a recorded query.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Outcome {
@@ -286,7 +271,7 @@ pub enum Outcome {
 
 impl Outcome {
     /// The outcome a localize reply frame records as.
-    pub fn of_reply(reply: &Frame) -> Self {
+    pub(crate) fn of_reply(reply: &Frame) -> Self {
         match reply {
             Frame::Fix {
                 x, y, likelihood, ..
@@ -330,7 +315,7 @@ pub enum JournalError {
     },
     /// A segment is shorter than [`SEGMENT_HEADER_LEN`].
     HeaderTruncated,
-    /// A record declares a payload longer than [`REC_MAX`].
+    /// A record declares a payload longer than `REC_MAX`.
     Oversize {
         /// Byte offset of the record within the segment.
         at: usize,
@@ -457,7 +442,7 @@ impl From<io::Error> for JournalError {
 /// with, hashed over its canonical byte serialization. This is the same
 /// number the live server reports in `TopologyInfo` for the matching
 /// epoch, so the recorder, the replayer, and the server cannot drift.
-pub fn config_fingerprint(service: &ServiceConfig, session: SessionPolicy) -> u64 {
+pub(crate) fn config_fingerprint(service: &ServiceConfig, session: SessionPolicy) -> u64 {
     service.to_system(session).fingerprint()
 }
 
@@ -493,7 +478,7 @@ pub fn encode_header(out: &mut Vec<u8>, header: &SegmentHeader) {
 
 /// Serializes a record payload (no length/CRC framing; see
 /// [`encode_framed`]).
-pub fn encode_payload(out: &mut Vec<u8>, record: &Record) {
+pub(crate) fn encode_payload(out: &mut Vec<u8>, record: &Record) {
     let type_byte = match &record.event {
         Event::Submit { .. } => et::SUBMIT,
         Event::Query { .. } => et::QUERY,
@@ -643,7 +628,7 @@ impl<'a> Cursor<'a> {
 }
 
 /// Parses a segment header from the front of `bytes`.
-pub fn decode_header(bytes: &[u8]) -> Result<SegmentHeader, JournalError> {
+pub(crate) fn decode_header(bytes: &[u8]) -> Result<SegmentHeader, JournalError> {
     if bytes.len() < SEGMENT_HEADER_LEN {
         return Err(JournalError::HeaderTruncated);
     }
@@ -830,6 +815,6 @@ pub fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, JournalError> {
 }
 
 /// Filename of segment `index` within a journal directory.
-pub fn segment_file_name(index: u32) -> String {
+pub(crate) fn segment_file_name(index: u32) -> String {
     format!("seg-{index:06}.atj")
 }

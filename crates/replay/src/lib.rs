@@ -36,12 +36,9 @@ pub mod replay;
 pub mod writer;
 
 pub use format::{
-    config_fingerprint, crc32, decode_segment, DecodedSegment, Event, JournalError, JournalMeta,
-    Outcome, Record, SegmentHeader,
+    decode_segment, DecodedSegment, Event, JournalError, JournalMeta, Outcome, Record,
+    SegmentHeader,
 };
 pub use reader::Journal;
-pub use replay::{
-    replay_in_process, replay_wire, Divergence, Pacing, ReplayReport, WireOptions,
-    MAX_DIVERGENCE_DETAILS,
-};
+pub use replay::{replay_in_process, replay_wire, Divergence, Pacing, ReplayReport, WireOptions};
 pub use writer::{Recorder, RecorderConfig, RecorderStats};

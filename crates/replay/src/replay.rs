@@ -36,7 +36,7 @@ use crate::format::{config_fingerprint, Event, JournalError, Outcome};
 use crate::reader::Journal;
 
 /// Cap on retained [`Divergence`] details (totals keep counting past it).
-pub const MAX_DIVERGENCE_DETAILS: usize = 16;
+pub(crate) const MAX_DIVERGENCE_DETAILS: usize = 16;
 
 /// One query whose replayed result disagreed with the recorded outcome.
 #[derive(Clone, Debug)]
@@ -65,7 +65,7 @@ pub struct ReplayReport {
     pub skipped: usize,
     /// Compared queries that did **not** reproduce the recorded outcome.
     pub divergences: usize,
-    /// Details for the first [`MAX_DIVERGENCE_DETAILS`] divergences.
+    /// Details for the first `MAX_DIVERGENCE_DETAILS` divergences.
     pub divergence_details: Vec<Divergence>,
     /// Propagated from the journal: it ended in a crash tail.
     pub truncated_tail: bool,

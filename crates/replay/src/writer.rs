@@ -132,27 +132,6 @@ impl Recorder {
         })
     }
 
-    /// The meta block this recorder stamps on every segment.
-    pub fn meta(&self) -> JournalMeta {
-        self.meta
-    }
-
-    /// Directory the journal is being written into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Current recorder totals.
-    pub fn stats(&self) -> RecorderStats {
-        let st = self.state.lock().unwrap();
-        RecorderStats {
-            records: st.next_seq - 1,
-            bytes: st.total_bytes,
-            segments: st.segment_index + 1,
-            failed: st.failed,
-        }
-    }
-
     /// Flushes and closes the current segment. Further events still
     /// allocate sequence numbers but are dropped. Returns final totals.
     pub fn finish(&self) -> RecorderStats {

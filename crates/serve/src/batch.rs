@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// Gauge reporting the coalescing window the batcher is currently using,
 /// in seconds (moves only when adaptive batching is on).
-pub const BATCH_WINDOW_GAUGE: &str = "at_serve_batch_window_seconds";
+pub(crate) const BATCH_WINDOW_GAUGE: &str = "at_serve_batch_window_seconds";
 
 /// How aggressively localize requests are coalesced.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -40,12 +40,12 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// Validates the policy.
-    ///
-    /// # Panics
-    /// Panics if `max_batch` is zero.
-    pub fn validate(&self) {
-        assert!(self.max_batch >= 1, "a batch holds at least one request");
+    /// Checks the policy: a batch holds at least one request.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.max_batch < 1 {
+            return Err("a batch holds at least one request");
+        }
+        Ok(())
     }
 }
 
@@ -72,16 +72,15 @@ impl Default for AdaptivePolicy {
 }
 
 impl AdaptivePolicy {
-    /// Validates the policy.
-    ///
-    /// # Panics
-    /// Panics on a zero period or an inverted window range.
-    pub fn validate(&self) {
-        assert!(self.period >= 1, "adaptive period must be at least 1 batch");
-        assert!(
-            self.min_window <= self.max_window,
-            "adaptive window range is inverted"
-        );
+    /// Checks the policy: a non-zero period and an ordered window range.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.period < 1 {
+            return Err("adaptive period must be at least 1 batch");
+        }
+        if self.min_window > self.max_window {
+            return Err("adaptive window range is inverted");
+        }
+        Ok(())
     }
 }
 
@@ -102,7 +101,7 @@ impl AdaptivePolicy {
 ///
 /// The active window is exported on the [`BATCH_WINDOW_GAUGE`] gauge.
 #[derive(Debug)]
-pub struct BatchController {
+pub(crate) struct BatchController {
     policy: BatchPolicy,
     adaptive: Option<AdaptivePolicy>,
     dwell: Arc<Histogram>,
@@ -117,11 +116,10 @@ impl BatchController {
     /// adaptation on, the window starts at [`AdaptivePolicy::min_window`]
     /// rather than `policy.window`: a fresh server's first requests arrive
     /// one at a time, and each would otherwise sit out the full starting
-    /// window before the first recomputation could shrink it.
-    pub fn new(mut policy: BatchPolicy, adaptive: Option<AdaptivePolicy>) -> Self {
-        policy.validate();
+    /// window before the first recomputation could shrink it. Both
+    /// policies were checked by [`crate::ServeConfig::check`].
+    pub(crate) fn new(mut policy: BatchPolicy, adaptive: Option<AdaptivePolicy>) -> Self {
         if let Some(a) = &adaptive {
-            a.validate();
             policy.window = a.min_window;
         }
         let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
@@ -139,13 +137,13 @@ impl BatchController {
     }
 
     /// The policy to gather the next batch under.
-    pub fn policy(&self) -> &BatchPolicy {
+    pub(crate) fn policy(&self) -> &BatchPolicy {
         &self.policy
     }
 
     /// Records one gathered batch and, at the adaptive period, re-derives
     /// the window from the dwell observed since the last decision.
-    pub fn on_batch(&mut self) {
+    pub(crate) fn on_batch(&mut self) {
         let Some(adaptive) = self.adaptive else {
             return;
         };
@@ -191,7 +189,7 @@ fn delta_quantile(prev: &HistogramSnapshot, cur: &HistogramSnapshot, q: f64) -> 
 /// absorbs arrivals until the window closes or the batch is full. Returns
 /// `None` once the queue is closed and drained — the batcher's exit
 /// signal.
-pub fn gather<T>(queue: &Bounded<T>, policy: &BatchPolicy) -> Option<Vec<T>> {
+pub(crate) fn gather<T>(queue: &Bounded<T>, policy: &BatchPolicy) -> Option<Vec<T>> {
     let first = queue.pop()?;
     let mut batch = vec![first];
     let deadline = Instant::now() + policy.window;

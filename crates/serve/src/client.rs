@@ -318,7 +318,7 @@ impl Client {
 
     /// Asks the server for its current topology epoch (protocol v5).
     /// Read-only and role-neutral, like [`Client::metrics`].
-    pub fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
+    pub(crate) fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
         let reply = self.request(&Frame::TopologyQuery)?;
         match Self::common(reply)? {
             Frame::TopologyInfo {
@@ -339,7 +339,7 @@ impl Client {
     /// onto the old epoch, swaps, and answers with the new topology; an
     /// invalid op is refused with a `ProtocolError` (`BAD_CONFIG`) and
     /// the epoch is unchanged.
-    pub fn reconfigure(
+    pub(crate) fn reconfigure(
         &mut self,
         op: &at_config::TopologyOp,
     ) -> Result<RemoteTopology, ClientError> {
@@ -515,19 +515,9 @@ impl ApClient {
         self.inner.report_failure(ap_id)
     }
 
-    /// Liveness probe (role-neutral).
-    pub fn ping(&mut self, token: u64) -> Result<(), ClientError> {
-        self.inner.ping(token)
-    }
-
     /// Scrapes the server's live metrics (role-neutral, protocol v4).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.inner.metrics()
-    }
-
-    /// Asks the server for its current topology (role-neutral, v5).
-    pub fn topology(&mut self) -> Result<RemoteTopology, ClientError> {
-        self.inner.topology()
     }
 }
 
@@ -563,11 +553,6 @@ impl AppClient {
             .localize_exchange(&Frame::LocalizeKey { key, deadline_ms })
     }
 
-    /// Liveness probe (role-neutral).
-    pub fn ping(&mut self, token: u64) -> Result<(), ClientError> {
-        self.inner.ping(token)
-    }
-
     /// Scrapes the server's live metrics (role-neutral, protocol v4).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         self.inner.metrics()
@@ -579,7 +564,7 @@ impl AppClient {
     }
 
     /// Applies one topology operation on the live server (role-neutral,
-    /// v5); see [`Client::reconfigure`].
+    /// v5); see `Client::reconfigure`.
     pub fn reconfigure(
         &mut self,
         op: &at_config::TopologyOp,

@@ -86,7 +86,7 @@ impl Encoding {
     }
 
     /// Metric label value (`encoding` label on the uplink counters).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Encoding::Raw => "raw",
             Encoding::Quantized => "quantized",
@@ -115,7 +115,7 @@ impl CompressedMode {
     }
 
     /// The client policy that produces this mode.
-    pub fn encoding(self) -> Encoding {
+    pub(crate) fn encoding(self) -> Encoding {
         match self {
             CompressedMode::Quantized => Encoding::Quantized,
             CompressedMode::Lossless => Encoding::LosslessDelta,
@@ -143,7 +143,7 @@ pub enum CodecError {
 impl CodecError {
     /// Static human-readable reason (also the `Malformed` reason at the
     /// framing layer).
-    pub fn reason(self) -> &'static str {
+    pub(crate) fn reason(self) -> &'static str {
         match self {
             CodecError::Truncated(r) | CodecError::Corrupt(r) => r,
             CodecError::UnknownMode(_) => "unknown codec mode byte",
@@ -330,7 +330,7 @@ pub fn compress(spectrum: &AoaSpectrum, mode: CompressedMode) -> Vec<u8> {
 /// Raw wire cost of the same spectrum in a legacy `f64` submit payload
 /// (`u32` bin count + 8 bytes per bin) — the denominator of the
 /// compression-ratio gauge.
-pub fn raw_wire_bytes(bins: usize) -> u64 {
+pub(crate) fn raw_wire_bytes(bins: usize) -> u64 {
     4 + 8 * bins as u64
 }
 

@@ -44,12 +44,12 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use batch::{AdaptivePolicy, BatchController, BatchPolicy, BATCH_WINDOW_GAUGE};
+pub use batch::{AdaptivePolicy, BatchPolicy};
 pub use client::{
     ApClient, AppClient, Client, ClientConfig, ClientError, RemoteFix, RemoteTopology,
 };
 pub use codec::{CodecError, CompressedMode, Encoding};
-pub use proto::{ApHealthReport, ClientKey, DecodeError, Frame, ReadError};
+pub use proto::{ApHealthReport, ClientKey, DecodeError, Frame};
 pub use server::{spawn, spawn_recorded, ServeConfig, ServerHandle, ServiceConfig, StatsSnapshot};
 pub use service::{
     BadAp, FuseScratch, LegacySession, PreparedEpoch, Query, RecordTap, ServiceCore, SessionRef,

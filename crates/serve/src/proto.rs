@@ -29,7 +29,7 @@
 //! spectrum without panicking.
 //!
 //! **Versioning**: each frame is encoded with the *lowest* protocol
-//! version that defines it ([`Frame::wire_version`]), and the decoder
+//! version that defines it (`Frame::wire_version`), and the decoder
 //! accepts [`MIN_VERSION`]`..=`[`VERSION`] headers. A keyed (v2) or
 //! compressed (v3) frame type arriving under an older header is a typed
 //! [`DecodeError::VersionGated`] — never a misparse — so an old peer that
@@ -77,11 +77,11 @@ pub const HEADER_LEN: usize = 8;
 /// Hard cap on a frame payload. The largest legitimate frame (a 65536-bin
 /// spectrum submission) is ~512 KiB; anything larger is a protocol error,
 /// decoded *before* any allocation happens.
-pub const MAX_PAYLOAD: usize = 1 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 1 << 20;
 
 /// Largest spectrum resolution accepted on the wire (the localization
 /// engine's bearing grids are `u16`-indexed, so this is also its cap).
-pub const MAX_BINS: usize = 1 << 16;
+pub(crate) const MAX_BINS: usize = 1 << 16;
 
 /// Health of one deployment AP as reported inside a [`Frame::Fix`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,35 +257,35 @@ pub enum Frame {
 
 /// Frame-type byte values (requests < 0x80, responses ≥ 0x80).
 mod ft {
-    pub const SUBMIT: u8 = 0x01;
-    pub const REPORT_FAILURE: u8 = 0x02;
-    pub const LOCALIZE: u8 = 0x03;
-    pub const CLEAR: u8 = 0x04;
-    pub const PING: u8 = 0x05;
-    pub const SUBMIT_KEYED: u8 = 0x06;
-    pub const LOCALIZE_KEY: u8 = 0x07;
-    pub const SUBMIT_COMPRESSED: u8 = 0x08;
-    pub const SUBMIT_COMPRESSED_KEYED: u8 = 0x09;
-    pub const METRICS_QUERY: u8 = 0x0A;
-    pub const RECONFIGURE: u8 = 0x0B;
-    pub const TOPOLOGY_QUERY: u8 = 0x0C;
-    pub const SUBMIT_ACK: u8 = 0x81;
-    pub const FIX: u8 = 0x82;
-    pub const FAILED: u8 = 0x83;
-    pub const OVERLOADED: u8 = 0x84;
-    pub const DEADLINE: u8 = 0x85;
-    pub const PONG: u8 = 0x86;
-    pub const PROTOCOL_ERROR: u8 = 0x87;
-    pub const SHUTTING_DOWN: u8 = 0x88;
-    pub const METRICS_REPORT: u8 = 0x89;
-    pub const TOPOLOGY_INFO: u8 = 0x8A;
+    pub(crate) const SUBMIT: u8 = 0x01;
+    pub(crate) const REPORT_FAILURE: u8 = 0x02;
+    pub(crate) const LOCALIZE: u8 = 0x03;
+    pub(crate) const CLEAR: u8 = 0x04;
+    pub(crate) const PING: u8 = 0x05;
+    pub(crate) const SUBMIT_KEYED: u8 = 0x06;
+    pub(crate) const LOCALIZE_KEY: u8 = 0x07;
+    pub(crate) const SUBMIT_COMPRESSED: u8 = 0x08;
+    pub(crate) const SUBMIT_COMPRESSED_KEYED: u8 = 0x09;
+    pub(crate) const METRICS_QUERY: u8 = 0x0A;
+    pub(crate) const RECONFIGURE: u8 = 0x0B;
+    pub(crate) const TOPOLOGY_QUERY: u8 = 0x0C;
+    pub(crate) const SUBMIT_ACK: u8 = 0x81;
+    pub(crate) const FIX: u8 = 0x82;
+    pub(crate) const FAILED: u8 = 0x83;
+    pub(crate) const OVERLOADED: u8 = 0x84;
+    pub(crate) const DEADLINE: u8 = 0x85;
+    pub(crate) const PONG: u8 = 0x86;
+    pub(crate) const PROTOCOL_ERROR: u8 = 0x87;
+    pub(crate) const SHUTTING_DOWN: u8 = 0x88;
+    pub(crate) const METRICS_REPORT: u8 = 0x89;
+    pub(crate) const TOPOLOGY_INFO: u8 = 0x8A;
 }
 
 /// Longest metrics text a [`Frame::MetricsReport`] can carry: the payload
 /// cap minus the text-length prefix. Longer renderings are truncated at
 /// encode (a scrape that loses its tail is still a scrape; an oversize
 /// frame is a protocol violation).
-pub const MAX_METRICS_TEXT: usize = MAX_PAYLOAD - 4;
+pub(crate) const MAX_METRICS_TEXT: usize = MAX_PAYLOAD - 4;
 
 /// Why a byte sequence is not a valid frame. Every variant is
 /// connection-fatal (framing can no longer be trusted) except when
@@ -319,7 +319,7 @@ pub enum DecodeError {
         /// The version this frame type first appeared in.
         need: u8,
     },
-    /// Declared payload length exceeds [`MAX_PAYLOAD`].
+    /// Declared payload length exceeds `MAX_PAYLOAD`.
     Oversize {
         /// The declared length.
         len: usize,
@@ -496,7 +496,7 @@ impl Frame {
     /// The version byte this frame encodes under: the lowest protocol
     /// version that defines its type, so version-1 peers keep decoding
     /// every pre-keyed frame unchanged.
-    pub fn wire_version(&self) -> u8 {
+    pub(crate) fn wire_version(&self) -> u8 {
         min_version_for(self.type_byte()).expect("own frame types are known")
     }
 
@@ -877,14 +877,14 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, DecodeError> {
 }
 
 /// Writes one frame to a blocking stream.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
+pub(crate) fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     let bytes = frame.encode();
     w.write_all(&bytes)
 }
 
 /// A connection-level read failure.
 #[derive(Debug)]
-pub enum ReadError {
+pub(crate) enum ReadError {
     /// The transport failed (or closed mid-frame).
     Io(io::Error),
     /// The peer sent bytes that are not a frame; framing is lost and the
@@ -914,14 +914,14 @@ impl From<io::Error> for ReadError {
 /// Returns `Ok(None)` on a clean end-of-stream *at a frame boundary*; a
 /// peer that disappears mid-frame is an [`ReadError::Io`] with
 /// `UnexpectedEof`.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ReadError> {
+pub(crate) fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, ReadError> {
     Ok(read_frame_counted(r)?.map(|(frame, _)| frame))
 }
 
 /// [`read_frame`], also reporting how many wire bytes the frame occupied
 /// (header + payload) — the server's uplink byte accounting reads this
 /// instead of re-encoding the frame.
-pub fn read_frame_counted<R: Read>(r: &mut R) -> Result<Option<(Frame, usize)>, ReadError> {
+pub(crate) fn read_frame_counted<R: Read>(r: &mut R) -> Result<Option<(Frame, usize)>, ReadError> {
     let mut header = [0u8; HEADER_LEN];
     let mut got = 0;
     while got < HEADER_LEN {

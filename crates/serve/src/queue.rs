@@ -2,12 +2,12 @@
 //! primitive between the server's stages.
 //!
 //! Each queue has a hard capacity and two personalities on the producer
-//! side: [`Bounded::try_push`] for admission control (fail fast so the
+//! side: `Bounded::try_push` for admission control (fail fast so the
 //! caller can shed load with a typed `Overloaded` frame) and
-//! [`Bounded::push`] for internal hand-offs (block so a slow downstream
+//! `Bounded::push` for internal hand-offs (block so a slow downstream
 //! stage applies backpressure upstream instead of growing memory).
 //!
-//! Closing is drain-first: after [`Bounded::close`] producers are refused
+//! Closing is drain-first: after `Bounded::close` producers are refused
 //! but consumers keep popping until the queue is empty, which is exactly
 //! the graceful-shutdown contract ("finish what was admitted, accept
 //! nothing new"). Queue depth is exported continuously as the
@@ -24,7 +24,7 @@ struct Inner<T> {
 
 /// A bounded multi-producer multi-consumer queue (mutex + condvars; the
 /// hand-off rate here is thousands per second, far below contention).
-pub struct Bounded<T> {
+pub(crate) struct Bounded<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     not_full: Condvar,
@@ -38,7 +38,7 @@ impl<T> Bounded<T> {
     ///
     /// # Panics
     /// Panics if `cap` is zero.
-    pub fn new(cap: usize, label: &'static str) -> Self {
+    pub(crate) fn new(cap: usize, label: &'static str) -> Self {
         assert!(cap > 0, "a bounded queue needs capacity");
         Self {
             inner: Mutex::new(Inner {
@@ -52,25 +52,10 @@ impl<T> Bounded<T> {
         }
     }
 
-    /// Capacity the queue was built with.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Current number of queued items.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("queue poisoned").q.len()
-    }
-
-    /// Whether the queue currently holds no items.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Non-blocking push: `Err(item)` back immediately when the queue is
     /// full or closed. This is the admission-control edge — the caller
     /// decides what "refused" means (shed, retry, error frame).
-    pub fn try_push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().expect("queue poisoned");
         if g.closed || g.q.len() >= self.cap {
             return Err(item);
@@ -84,7 +69,7 @@ impl<T> Bounded<T> {
 
     /// Blocking push: waits for space, returning `Err(item)` only if the
     /// queue closes while waiting. Backpressure for internal hand-offs.
-    pub fn push(&self, item: T) -> Result<(), T> {
+    pub(crate) fn push(&self, item: T) -> Result<(), T> {
         let mut g = self.inner.lock().expect("queue poisoned");
         while !g.closed && g.q.len() >= self.cap {
             g = self.not_full.wait(g).expect("queue poisoned");
@@ -101,7 +86,7 @@ impl<T> Bounded<T> {
 
     /// Blocking pop: waits for an item, returning `None` only once the
     /// queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut g = self.inner.lock().expect("queue poisoned");
         loop {
             if let Some(item) = g.q.pop_front() {
@@ -119,7 +104,7 @@ impl<T> Bounded<T> {
 
     /// Pop with a wait bound: `None` on timeout or on closed-and-drained.
     /// Used by the batcher to cap its coalescing window.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
+    pub(crate) fn pop_timeout(&self, timeout: Duration) -> Option<T> {
         let deadline = std::time::Instant::now() + timeout;
         let mut g = self.inner.lock().expect("queue poisoned");
         loop {
@@ -149,7 +134,7 @@ impl<T> Bounded<T> {
 
     /// Closes the queue: producers are refused from now on, consumers
     /// drain what is already queued and then see `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut g = self.inner.lock().expect("queue poisoned");
         g.closed = true;
         drop(g);

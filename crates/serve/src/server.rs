@@ -125,20 +125,22 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    /// Panics on zero workers, zero queue depths, or an inconsistent
-    /// adaptive or session policy.
-    pub fn validate(&self) {
-        assert!(self.workers >= 1, "need at least one worker");
-        assert!(self.admission_depth >= 1, "admission queue needs depth");
-        assert!(self.exec_depth >= 1, "exec queue needs depth");
-        self.batch.validate();
-        if let Some(a) = &self.adaptive {
-            a.validate();
+    /// Checks the runtime shape: at least one worker, non-zero queue
+    /// depths, and consistent batching policies. The error says which
+    /// rule was broken. (The session policy is checked with the rest of
+    /// the [`SystemConfig`] when the service starts.)
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.workers < 1 {
+            return Err("need at least one worker");
         }
-        self.session.validate();
+        if self.admission_depth < 1 {
+            return Err("admission queue needs depth");
+        }
+        if self.exec_depth < 1 {
+            return Err("exec queue needs depth");
+        }
+        self.batch.check()?;
+        self.adaptive.as_ref().map_or(Ok(()), AdaptivePolicy::check)
     }
 }
 
@@ -237,6 +239,11 @@ struct Shared {
 /// the localization engine for the deployment, and starts the acceptor,
 /// batcher, and worker threads. The server runs until
 /// [`ServerHandle::shutdown`] (or drop).
+///
+/// # Errors
+/// `InvalidInput` if `cfg` has no worker, a zero queue depth or an
+/// inconsistent batching policy, or if the service config fails
+/// validation; otherwise any bind or thread-spawn error.
 pub fn spawn(
     service: ServiceConfig,
     cfg: ServeConfig,
@@ -254,7 +261,8 @@ pub fn spawn_recorded(
     addr: impl ToSocketAddrs,
     tap: Option<Arc<dyn RecordTap>>,
 ) -> io::Result<ServerHandle> {
-    cfg.validate();
+    cfg.check()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let core = ServiceCore::new(service.to_system(cfg.session), tap)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     let listener = TcpListener::bind(addr)?;
@@ -512,17 +520,17 @@ pub mod errcode {
     /// The frame could not be decoded; the connection is dropped.
     pub const UNDECODABLE: u8 = 0;
     /// `ap_id` does not name a deployment AP.
-    pub const BAD_AP: u8 = 1;
+    pub(crate) const BAD_AP: u8 = 1;
     /// A server→client frame type arrived at the server.
-    pub const NOT_A_REQUEST: u8 = 2;
+    pub(crate) const NOT_A_REQUEST: u8 = 2;
     /// A keyed frame crossed the connection's role: an ingestion
     /// connection issued `LocalizeKey`, or a query connection issued a
     /// keyed `Submit`.
-    pub const ROLE_MISMATCH: u8 = 3;
+    pub(crate) const ROLE_MISMATCH: u8 = 3;
     /// A `Reconfigure` op would produce an invalid topology (bad AP id,
     /// removing the last AP, non-finite pose). The op was refused and
     /// the epoch is unchanged.
-    pub const BAD_CONFIG: u8 = 4;
+    pub(crate) const BAD_CONFIG: u8 = 4;
 }
 
 /// What a connection has declared itself to be. The first keyed frame
@@ -773,7 +781,12 @@ fn handle_reconfigure(shared: &Shared, op: TopologyOp) -> Frame {
     shared.core.commit(next);
     shared.swapping.store(false, Ordering::SeqCst);
     shared.stats.reconfigures.fetch_add(1, Ordering::Relaxed);
-    at_obs::count!("at_serve_reconfigures_total");
+    use at_obs::names::SERVE_RECONFIGURES_TOTAL as RECONFIGURES;
+    match op {
+        TopologyOp::Add { .. } => at_obs::count!(RECONFIGURES, "op" => "add"),
+        TopologyOp::Remove { .. } => at_obs::count!(RECONFIGURES, "op" => "remove"),
+        TopologyOp::Move { .. } => at_obs::count!(RECONFIGURES, "op" => "move"),
+    }
     at_obs::global()
         .gauge(at_obs::names::SERVE_TOPOLOGY_EPOCH, &[])
         .set(shared.core.epoch() as f64);

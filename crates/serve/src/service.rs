@@ -69,8 +69,7 @@ struct Epoch {
 
 impl Epoch {
     fn build(epoch: u64, config: SystemConfig) -> Self {
-        let engine =
-            LocalizationEngine::for_epoch(&config.poses, config.region, config.bins, epoch);
+        let engine = LocalizationEngine::new(&config.poses, config.region, config.bins);
         Self {
             epoch,
             fingerprint: config.fingerprint(),
@@ -197,7 +196,7 @@ impl ServiceCore {
     }
 
     /// Current topology epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.topo().epoch
     }
 
@@ -260,7 +259,7 @@ impl ServiceCore {
 
     /// Evicts every session idle past the policy's timeout as of `now`,
     /// journaling the keys for replay's [`ServiceCore::evict`].
-    pub fn reap(&self, now: Instant) {
+    pub(crate) fn reap(&self, now: Instant) {
         let _topo = self.topo();
         let evicted = self.store.reap_idle(now);
         if !evicted.is_empty() {

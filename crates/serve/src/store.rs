@@ -156,7 +156,9 @@ impl SessionStore {
     /// full session (`n_aps` spectra) — the cap must never force a
     /// session to evict itself.
     pub fn new(n_aps: usize, policy: SessionPolicy) -> Self {
-        policy.validate();
+        if let Err(e) = policy.check() {
+            panic!("{e}");
+        }
         assert!(n_aps >= 1, "a store needs at least one AP slot");
         assert!(
             policy.max_resident_spectra >= n_aps,
@@ -194,12 +196,12 @@ impl SessionStore {
     }
 
     /// The policy the store was built with.
-    pub fn policy(&self) -> &SessionPolicy {
+    pub(crate) fn policy(&self) -> &SessionPolicy {
         &self.policy
     }
 
     /// The current epoch's AP count (per-session slot width).
-    pub fn n_aps(&self) -> usize {
+    pub(crate) fn n_aps(&self) -> usize {
         self.n_aps.load(Ordering::Acquire)
     }
 
@@ -367,7 +369,7 @@ impl SessionStore {
     }
 
     /// Current staleness tick (intervals since the store was built).
-    pub fn tick(&self) -> u64 {
+    pub(crate) fn tick(&self) -> u64 {
         self.tick.load(Ordering::Acquire)
     }
 
@@ -375,7 +377,7 @@ impl SessionStore {
     /// Returns the evicted keys (empty when nothing was idle) — the
     /// capture journal records them so a replay can apply the same
     /// evictions at the same point in the event order.
-    pub fn reap_idle(&self, now: Instant) -> Vec<ClientKey> {
+    pub(crate) fn reap_idle(&self, now: Instant) -> Vec<ClientKey> {
         let mut counts = self.counts.lock().expect("counts poisoned");
         let mut evicted: Vec<ClientKey> = Vec::new();
         for shard in &self.shards {
@@ -482,7 +484,7 @@ impl SessionStore {
     /// cap pressure would remove them. Wall-clock free (driven by the
     /// monotonic touch stamps), so the order is stable across refactors
     /// and machines; the golden-fixture test pins it.
-    pub fn eviction_order(&self) -> Vec<ClientKey> {
+    pub(crate) fn eviction_order(&self) -> Vec<ClientKey> {
         let mut all: Vec<(u64, ClientKey)> = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("shard poisoned");

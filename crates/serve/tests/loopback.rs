@@ -359,3 +359,30 @@ fn metrics_query_returns_a_prometheus_snapshot_on_any_role() {
     assert!(app.metrics().expect("app metrics").contains("at_serve"));
     server.shutdown();
 }
+
+#[test]
+fn bad_serve_config_is_refused_typed_not_a_panic() {
+    let bad = [
+        ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            admission_depth: 0,
+            ..ServeConfig::default()
+        },
+        ServeConfig {
+            batch: BatchPolicy {
+                window: Duration::from_millis(1),
+                max_batch: 0,
+            },
+            ..ServeConfig::default()
+        },
+    ];
+    for cfg in bad {
+        match spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0") {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+            Ok(_) => panic!("spawn accepted {cfg:?}"),
+        }
+    }
+}

@@ -34,7 +34,7 @@ impl LogDistanceModel {
     ///
     /// # Panics
     /// Panics with fewer than two samples or non-positive distances.
-    pub fn fit(samples: &[(f64, f64)]) -> Self {
+    pub(crate) fn fit(samples: &[(f64, f64)]) -> Self {
         assert!(samples.len() >= 2, "need at least two samples to fit");
         assert!(samples.iter().all(|(d, _)| *d > 0.0));
         // Linear regression of rss on x = -10·log10(d).
@@ -51,7 +51,7 @@ impl LogDistanceModel {
     }
 
     /// Predicted RSS at distance `d` meters.
-    pub fn predict(&self, d: f64) -> f64 {
+    pub(crate) fn predict(&self, d: f64) -> f64 {
         self.rss0 - 10.0 * self.exponent * d.max(0.1).log10()
     }
 }

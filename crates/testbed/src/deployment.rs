@@ -196,7 +196,7 @@ impl Deployment {
     /// or a spiked noise floor. Passing the AP's own array, calibration
     /// and `cfg.noise_power` reproduces `capture_frame` exactly.
     #[allow(clippy::too_many_arguments)]
-    pub fn capture_frame_with<R: Rng>(
+    pub(crate) fn capture_frame_with<R: Rng>(
         &self,
         ap_idx: usize,
         array: &AntennaArray,
@@ -354,7 +354,7 @@ impl Deployment {
     /// relative to unit transmit power, quantized to whole decibels like
     /// commodity hardware reports it (§5: "usually measured in units of
     /// whole decibels") — the input to the RSSI baselines.
-    pub fn rss_db(&self, ap_idx: usize, position: Point, cfg: &CaptureConfig) -> f64 {
+    pub(crate) fn rss_db(&self, ap_idx: usize, position: Point, cfg: &CaptureConfig) -> f64 {
         let ap = &self.aps[ap_idx];
         let array = ap.array(cfg);
         let sim = ChannelSim::new(&self.floorplan);

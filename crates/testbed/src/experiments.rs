@@ -14,7 +14,7 @@ use at_channel::Transmitter;
 use at_core::engine::LocalizationEngine;
 use at_core::pipeline::{process_frame_group, ApPipelineConfig};
 use at_core::suppression::SuppressionConfig;
-use at_core::synthesis::{localize, ApObservation, ApPose, SearchRegion};
+use at_core::synthesis::ApPose;
 use at_core::AoaSpectrum;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,12 +143,14 @@ pub fn localization_engine(dep: &Deployment, grid_step: f64, bins: usize) -> Loc
 ///
 /// This is the exhaustive reference path; the sweeps go through
 /// [`localization_engine`] instead (same result, precomputed geometry).
-pub fn localize_subset(
+#[cfg(test)]
+pub(crate) fn localize_subset(
     dep: &Deployment,
     spectra: &[AoaSpectrum],
     subset: &[usize],
-    region: SearchRegion,
+    region: at_core::synthesis::SearchRegion,
 ) -> Point {
+    use at_core::synthesis::{localize, ApObservation};
     let obs: Vec<ApObservation> = subset
         .iter()
         .map(|&ap| ApObservation {

@@ -12,8 +12,6 @@
 //! - [`metrics`]: error CDFs, medians, means, percentiles;
 //! - [`baselines`]: RSSI log-distance trilateration and RADAR-style
 //!   fingerprinting for the related-work comparison;
-//! - [`stream`]: the live Figure-1 loop — frames arriving over time, per-AP
-//!   circular buffers, 100 ms grouping, suppression, fusion and tracking;
 //! - [`acquire`]: the same capture path run under an injected
 //!   `at_core::faults::FaultPlan`, with retry/timeout semantics and typed
 //!   errors — the apparatus behind the robustness tier and the Fig. 14-style
@@ -35,19 +33,21 @@ pub mod metrics;
 pub mod office;
 pub mod replay;
 pub mod serve;
-pub mod stream;
+// The live Figure-1 loop (per-AP circular buffers, 100 ms grouping,
+// suppression, fusion, tracking): nothing ships it, but its tests are the
+// only end-to-end check of §2.4's `FrameBuffer` grouping.
+#[cfg(test)]
+mod stream;
 
 pub use acquire::{
     acquire_spectrum, localize_under_faults, AcquireConfig, AcquireError, Acquisition,
 };
 pub use deployment::{parallel_map, Ap, CaptureConfig, Deployment};
 pub use experiments::{
-    ap_subsets, compute_all_spectra, compute_spectrum, localization_sweep, localize_subset,
-    ExperimentConfig,
+    ap_subsets, compute_all_spectra, compute_spectrum, localization_sweep, ExperimentConfig,
 };
 pub use metrics::ErrorStats;
-pub use replay::{record_golden, GOLDEN_SEED};
+pub use replay::record_golden;
 pub use serve::{
     ap_clients, serve_deployment, service_config, submit_position, submit_position_keyed,
 };
-pub use stream::{run_stream, FixEvent, StreamClient, StreamConfig, StreamReport};

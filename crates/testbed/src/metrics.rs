@@ -34,11 +34,6 @@ impl ErrorStats {
         self.sorted.is_empty()
     }
 
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Arithmetic mean; 0 for empty input.
     pub fn mean(&self) -> f64 {
         if self.sorted.is_empty() {

@@ -125,7 +125,7 @@ pub fn ap_poses() -> [(Point, f64); 6] {
 /// The 41 client ground-truth positions, spread roughly uniformly with
 /// deliberately adversarial placements: near the metal core, inside the
 /// glass room, behind both pillars, and deep inside offices.
-pub fn client_positions() -> Vec<Point> {
+pub(crate) fn client_positions() -> Vec<Point> {
     vec![
         // Corridor / open area sweep.
         pt(4.0, 12.0),
@@ -183,7 +183,7 @@ pub fn client_positions() -> Vec<Point> {
 /// concrete shell, one long metal bench row, a glass machine room, denser
 /// AP ring. Used by the generalization tests to show the pipeline is not
 /// tuned to the Fig. 12 office.
-pub fn lab_floorplan() -> Floorplan {
+pub(crate) fn lab_floorplan() -> Floorplan {
     // Interior lab: plasterboard shell (a small *concrete* box at 2.4 GHz
     // is an echo chamber whose wall bounces rival the direct path —
     // measurably harder than anything in the paper's testbed).
@@ -215,7 +215,7 @@ pub fn lab_floorplan() -> Floorplan {
 }
 
 /// Four AP poses for the lab, tilted off the walls like the office's.
-pub fn lab_ap_poses() -> [(Point, f64); 4] {
+pub(crate) fn lab_ap_poses() -> [(Point, f64); 4] {
     use std::f64::consts::FRAC_PI_2;
     [
         (pt(2.0, 14.0), -0.4),
@@ -226,7 +226,7 @@ pub fn lab_ap_poses() -> [(Point, f64); 4] {
 }
 
 /// Twelve lab client positions, including bench-shadowed and in-glass spots.
-pub fn lab_client_positions() -> Vec<Point> {
+pub(crate) fn lab_client_positions() -> Vec<Point> {
     vec![
         pt(4.0, 3.0),
         pt(9.0, 2.5),

@@ -35,11 +35,11 @@ use crate::serve::{ap_clients_with, service_config, submit_position_keyed};
 
 /// Seed behind the committed golden journal (deployment, radio noise,
 /// and client positions all derive from it).
-pub const GOLDEN_SEED: u64 = 7;
+pub(crate) const GOLDEN_SEED: u64 = 7;
 
 /// Session cap for the golden scenario: six resident sessions' worth of
 /// spectra, so the eight-session script exercises LRU eviction.
-pub const GOLDEN_CAP: usize = 36;
+pub(crate) const GOLDEN_CAP: usize = 36;
 
 /// The office deployment the golden journal is recorded under.
 pub fn golden_deployment() -> Deployment {

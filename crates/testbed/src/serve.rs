@@ -65,7 +65,7 @@ pub fn submit_position<R: Rng>(
 /// Connects one ingestion connection per AP of the deployment — the
 /// paper's Figure 1 topology, where each of the (six, for the office) AP
 /// processes holds its own long-lived link to the aggregation server.
-/// Streams raw (uncompressed) spectra; see [`ap_clients_with`] for a
+/// Streams raw (uncompressed) spectra; see `ap_clients_with` for a
 /// compressed uplink.
 pub fn ap_clients(
     addr: SocketAddr,
@@ -78,7 +78,7 @@ pub fn ap_clients(
 /// [`ap_clients`] with an explicit uplink [`Encoding`] policy — the
 /// protocol-v3 compressed wire forms with automatic raw fallback against
 /// pre-v3 servers.
-pub fn ap_clients_with(
+pub(crate) fn ap_clients_with(
     addr: SocketAddr,
     n_aps: usize,
     cfg: ClientConfig,

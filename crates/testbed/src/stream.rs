@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 
 /// A client participating in the stream.
 #[derive(Clone, Debug)]
-pub struct StreamClient {
+pub(crate) struct StreamClient {
     /// Client identifier (also the suppression grouping key).
     pub id: u64,
     /// Trajectory: position as a function of time (seconds).
@@ -32,7 +32,7 @@ pub struct StreamClient {
 
 /// Stream simulation settings.
 #[derive(Clone, Debug)]
-pub struct StreamConfig {
+pub(crate) struct StreamConfig {
     /// Simulated wall-clock duration, seconds.
     pub duration: f64,
     /// Server tick (location refresh) interval, seconds (paper: 100 ms).
@@ -62,9 +62,7 @@ impl Default for StreamConfig {
 
 /// One produced location fix.
 #[derive(Clone, Copy, Debug)]
-pub struct FixEvent {
-    /// Server time of the fix, seconds.
-    pub time: f64,
+pub(crate) struct FixEvent {
     /// Which client.
     pub client_id: u64,
     /// Raw fused estimate.
@@ -79,30 +77,28 @@ pub struct FixEvent {
 
 impl FixEvent {
     /// Raw estimate error, meters.
-    pub fn raw_error(&self) -> f64 {
+    pub(crate) fn raw_error(&self) -> f64 {
         self.raw.distance(self.truth)
     }
 
     /// Tracked estimate error, meters.
-    pub fn tracked_error(&self) -> f64 {
+    pub(crate) fn tracked_error(&self) -> f64 {
         self.tracked.distance(self.truth)
     }
 }
 
 /// Summary of a stream run.
 #[derive(Clone, Debug)]
-pub struct StreamReport {
+pub(crate) struct StreamReport {
     /// Every fix produced, in time order.
     pub fixes: Vec<FixEvent>,
-    /// Total frames transmitted across clients.
-    pub frames_sent: usize,
     /// Frames evicted from AP buffers (overload indicator).
     pub frames_evicted: u64,
 }
 
 impl StreamReport {
     /// Fixes for one client.
-    pub fn fixes_for(&self, client_id: u64) -> Vec<&FixEvent> {
+    pub(crate) fn fixes_for(&self, client_id: u64) -> Vec<&FixEvent> {
         self.fixes
             .iter()
             .filter(|f| f.client_id == client_id)
@@ -110,7 +106,7 @@ impl StreamReport {
     }
 
     /// Mean raw error over all fixes.
-    pub fn mean_raw_error(&self) -> f64 {
+    pub(crate) fn mean_raw_error(&self) -> f64 {
         if self.fixes.is_empty() {
             return 0.0;
         }
@@ -118,7 +114,7 @@ impl StreamReport {
     }
 
     /// Mean tracked error over all fixes.
-    pub fn mean_tracked_error(&self) -> f64 {
+    pub(crate) fn mean_tracked_error(&self) -> f64 {
         if self.fixes.is_empty() {
             return 0.0;
         }
@@ -127,7 +123,11 @@ impl StreamReport {
 }
 
 /// Runs the live loop over a deployment.
-pub fn run_stream(dep: &Deployment, clients: &[StreamClient], cfg: &StreamConfig) -> StreamReport {
+pub(crate) fn run_stream(
+    dep: &Deployment,
+    clients: &[StreamClient],
+    cfg: &StreamConfig,
+) -> StreamReport {
     assert!(!clients.is_empty(), "need at least one client");
     assert!(cfg.refresh > 0.0 && cfg.duration > 0.0);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -143,7 +143,6 @@ pub fn run_stream(dep: &Deployment, clients: &[StreamClient], cfg: &StreamConfig
         }
     }
     frames.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let frames_sent = frames.len();
 
     // One buffer per AP, as in the hardware design (Fig. 1).
     let mut buffers: Vec<FrameBuffer> = (0..dep.aps.len())
@@ -208,7 +207,6 @@ pub fn run_stream(dep: &Deployment, clients: &[StreamClient], cfg: &StreamConfig
             let tracked = trackers[ci].update(raw, dt.max(1e-3));
             last_fix_time[ci] = Some(tick);
             fixes.push(FixEvent {
-                time: tick,
                 client_id: client.id,
                 raw,
                 tracked,
@@ -221,7 +219,6 @@ pub fn run_stream(dep: &Deployment, clients: &[StreamClient], cfg: &StreamConfig
 
     StreamReport {
         fixes,
-        frames_sent,
         frames_evicted: buffers.iter().map(|b| b.evicted()).sum(),
     }
 }

@@ -22,7 +22,7 @@
 //!   bit-exact keyed fixes on the same single worker.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use arraytrack::channel::geometry::{angle_diff, pt, Point};
 use arraytrack::config::TopologyOp;
@@ -36,6 +36,25 @@ use arraytrack::serve::{
 use std::time::Duration;
 
 const BINS: usize = 96;
+
+/// Every test here reconfigures a live server, and the process-wide
+/// `at_serve_reconfigures_total{op}` counter is read as a delta, so the
+/// tests take turns.
+static RECONFIGURING: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    RECONFIGURING.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The global registry's `at_serve_reconfigures_total{op}`.
+fn reconfigures(op: &str) -> u64 {
+    arraytrack::obs::global()
+        .counter(
+            arraytrack::obs::names::SERVE_RECONFIGURES_TOTAL,
+            &[("op", op)],
+        )
+        .get()
+}
 
 /// Four-AP synthetic deployment with analytic lobe spectra (no simulated
 /// radios), quorum of two so shrunken sessions still fix but a lone cold
@@ -126,6 +145,7 @@ fn spawn_storm(
 
 #[test]
 fn ap_departure_mid_storm_keeps_surviving_quorum_bit_exact() {
+    let _serial = serial();
     let service = service();
     let session = session_policy();
     let server = arraytrack::serve::spawn(
@@ -205,6 +225,7 @@ fn ap_departure_mid_storm_keeps_surviving_quorum_bit_exact() {
 
 #[test]
 fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
+    let _serial = serial();
     let service = service();
     let session = session_policy();
     let server = arraytrack::serve::spawn(
@@ -229,7 +250,9 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
 
     let mut app = AppClient::connect(addr, ClientConfig::default()).expect("app");
 
-    // Out-of-range ops are refused typed, with the epoch untouched.
+    // Out-of-range ops are refused typed, with the epoch untouched and
+    // nothing counted as a reconfiguration.
+    let (removes, moves) = (reconfigures("remove"), reconfigures("move"));
     for bad in [
         TopologyOp::Remove { ap_id: 99 },
         TopologyOp::Move {
@@ -243,13 +266,20 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
         }
     }
     assert_eq!(app.topology().expect("topology").epoch, 0);
+    assert_eq!(
+        (reconfigures("remove"), reconfigures("move")),
+        (removes, moves)
+    );
 
     // The full lifecycle, mid-storm: remove AP 3, move AP 0, re-add a
-    // fourth AP. Every applied op bumps the epoch by exactly one.
+    // fourth AP. Every applied op bumps the epoch, and the reconfigure
+    // counter under its own `op` label, by exactly one.
     let info = app
         .reconfigure(&TopologyOp::Remove { ap_id: 3 })
         .expect("remove");
     assert_eq!((info.epoch, info.poses.len()), (1, 3));
+    assert_eq!(reconfigures("remove") - removes, 1);
+    assert_eq!(reconfigures("move") - moves, 0);
 
     let mut moved = service.poses[0];
     moved.center.x += 0.5;
@@ -260,6 +290,8 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
         })
         .expect("move");
     assert_eq!((info.epoch, info.poses.len()), (2, 3));
+    assert_eq!(reconfigures("move") - moves, 1);
+    assert_eq!(reconfigures("remove") - removes, 1);
     assert_eq!(
         info.poses[0].center.x.to_bits(),
         moved.center.x.to_bits(),
@@ -321,6 +353,7 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
 
 #[test]
 fn stale_v1_session_is_a_typed_refusal_after_remove_or_move() {
+    let _serial = serial();
     let service = service();
     let session = session_policy();
     let mut moved = service.poses[0];
