@@ -73,7 +73,9 @@
 #   bench-smoke  — perf_report --smoke: the observed per-stage latency
 #                  budget (detect/spectrum/fusion, from the at-obs metrics
 #                  the instrumented pipeline records) must stay within 3x of
-#                  the committed BENCH_PERF.json baseline
+#                  the committed BENCH_PERF.json baseline; then the gate's
+#                  self-test: the same run with AT_SMOKE_INJECT_MS=50 must
+#                  fail
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -164,6 +166,17 @@ lint() {
         --all-targets -- -D warnings
 }
 
+bench_smoke() {
+    cargo run --release -q -p at-bench --bin perf_report -- --smoke
+    # Prove the gate bites: a 50 ms regression injected into every stage
+    # must fail it.
+    echo "-- self-test: the injected regression below must fail the gate --"
+    if AT_SMOKE_INJECT_MS=50 cargo run --release -q -p at-bench --bin perf_report -- --smoke; then
+        echo "ci.sh: smoke gate passed despite an injected regression" >&2
+        return 1
+    fi
+}
+
 doc() {
     # Same exclusions as lint: the vendored stand-ins are not our docs.
     RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace \
@@ -187,7 +200,7 @@ run_stage() {
     serve-sessions) stage serve-sessions serve_sessions ;;
     lint) stage lint lint ;;
     doc) stage doc doc ;;
-    bench-smoke) stage bench-smoke cargo run --release -q -p at-bench --bin perf_report -- --smoke ;;
+    bench-smoke) stage bench-smoke bench_smoke ;;
     *)
         echo "ci.sh: unknown stage '$1'" >&2
         usage

@@ -39,8 +39,8 @@ use at_core::health::HealthPolicy;
 use at_core::synthesis::SearchRegion;
 use at_core::{AoaSpectrum, ArrayTrackServer};
 use at_serve::{
-    spawn, AdaptivePolicy, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError,
-    Encoding, ServeConfig, ServiceConfig, SessionPolicy,
+    spawn, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError, Encoding,
+    ServeConfig, ServiceConfig, SessionPolicy,
 };
 use at_testbed::office;
 use std::io::Write as _;
@@ -134,10 +134,6 @@ fn run_sustained(report: &Report, clients: usize, per_client: usize) -> Sustaine
     let cfg = ServeConfig {
         workers: cfg_workers,
         admission_depth: 128,
-        exec_depth: 8,
-        batch: BatchPolicy::default(),
-        adaptive: Some(AdaptivePolicy::default()),
-        retry_after_ms: 5,
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
@@ -202,13 +198,10 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        exec_depth: 1,
         batch: BatchPolicy {
             window: Duration::from_millis(1),
             max_batch: 2,
         },
-        adaptive: None,
-        retry_after_ms: 5,
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
@@ -274,7 +267,6 @@ fn run_drain(report: &Report) -> bool {
             window: Duration::from_millis(300),
             max_batch: 8,
         },
-        adaptive: None,
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");

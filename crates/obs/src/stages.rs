@@ -37,13 +37,14 @@ pub const FUSION: &str = "fusion";
 pub const LOCALIZE: &str = "localize";
 /// One AP's full spectrum acquisition (capture + retries + processing).
 pub const ACQUIRE: &str = "acquire";
-/// One networked localize request end to end: frame receipt to reply
-/// written (at-serve connection thread).
+/// One networked localize request on its connection thread, from the
+/// decoded frame to the reply in hand: admission, queue dwell, fusion and
+/// outcome journaling. Wire decode and the reply write are outside it.
 pub const SERVE_REQUEST: &str = "serve_request";
 /// Admission-queue dwell plus batch gathering (at-serve batcher).
 pub const SERVE_QUEUE: &str = "serve_queue";
-/// One coalesced engine sweep over a batch of localize requests
-/// (at-serve worker).
+/// One worker's pass over a batch of localize requests, one engine sweep
+/// per request (at-serve worker).
 pub const SERVE_BATCH: &str = "serve_batch";
 
 /// Every stage name, in pipeline order.

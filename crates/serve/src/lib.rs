@@ -13,8 +13,8 @@
 //!   AP uplink (~10× smaller), plus a lossless XOR-delta mode for
 //!   bit-exact replay; the decompressor is total like the frame decoder;
 //! - [`queue`] — bounded closing queues, the backpressure primitive;
-//! - [`batch`] — the coalescing window that hands concurrent localize
-//!   requests to a worker as one unit;
+//! - [`batch`] — the fixed gathering window that hands concurrent
+//!   localize requests to a worker as one job;
 //! - [`service`] — [`ServiceCore`], the state machine (epoch, session
 //!   [`store`], AP health, capture tap) that the server drives live and
 //!   `at-replay` drives from a journal;
@@ -44,7 +44,7 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use batch::{AdaptivePolicy, BatchPolicy};
+pub use batch::BatchPolicy;
 pub use client::{
     ApClient, AppClient, Client, ClientConfig, ClientError, RemoteFix, RemoteTopology,
 };

@@ -6,10 +6,10 @@
 //!
 //! ```text
 //! conn threads ──try_push──▶ admission queue ──▶ batcher ──push──▶ exec
-//!   (1/socket)    shed ⇒ Overloaded      (coalesce ≤ window)   queue
+//!   (1/socket)    shed ⇒ Overloaded        (gather ≤ window)     queue
 //!                                                               │
 //!                                         workers ◀─────────────┘
-//!                               (ServiceCore::fuse, one scratch each)
+//!                      (ServiceCore::fuse per request, one scratch each)
 //! ```
 //!
 //! - **Admission control** is the `try_push` edge: when the admission
@@ -20,8 +20,10 @@
 //!   starts at frame receipt and is checked at every stage boundary
 //!   *before* the expensive fusion sweep, so a request that can no longer
 //!   make its deadline costs a queue slot, not an engine walk.
-//! - **Batching** coalesces localize requests arriving within
-//!   [`BatchPolicy::window`] into one hand-off to a worker.
+//! - **Batching** gathers localize requests arriving within
+//!   [`BatchPolicy::window`] into one hand-off to a worker, which fuses
+//!   them one engine sweep each. The exec queue holds one waiting batch
+//!   per worker.
 //! - **Shutdown** is drain-then-stop: the admission queue closes (new
 //!   requests see [`Frame::ShuttingDown`]), everything already admitted is
 //!   fused and answered, then the stage threads and connections wind down
@@ -33,7 +35,7 @@
 //! deployments surface the same [`at_core::health::LocalizeError`] values
 //! over the wire.
 
-use crate::batch::{gather, AdaptivePolicy, BatchController, BatchPolicy};
+use crate::batch::{gather, BatchPolicy};
 use crate::codec::{self, CompressedMode, Encoding};
 use crate::proto::{self, Frame, ReadError, HEADER_LEN};
 use crate::queue::Bounded;
@@ -88,23 +90,13 @@ impl ServiceConfig {
 /// Server runtime shape: thread counts, queue depths, batching.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Fusion worker threads.
+    /// Fusion worker threads; also the exec queue's depth, in batches.
     pub workers: usize,
     /// Admission queue depth — the *only* place requests wait; beyond it
     /// they are shed with [`Frame::Overloaded`].
     pub admission_depth: usize,
-    /// Executor queue depth, in batches (small: its only job is keeping
-    /// workers fed while the batcher gathers the next batch).
-    pub exec_depth: usize,
-    /// Coalescing policy for localize requests (`batch.window` is the
-    /// fixed window when `adaptive` is `None`; with adaptation on, the
-    /// window starts at `adaptive.min_window` instead).
+    /// Gathering policy for localize requests.
     pub batch: BatchPolicy,
-    /// Adaptive window sizing from the observed admission-queue dwell;
-    /// `None` pins the window at `batch.window`.
-    pub adaptive: Option<AdaptivePolicy>,
-    /// Retry hint attached to [`Frame::Overloaded`] responses.
-    pub retry_after_ms: u32,
     /// Residency policy of the keyed session store (idle timeout,
     /// resident-spectra cap, reaper cadence).
     pub session: SessionPolicy,
@@ -115,20 +107,17 @@ impl Default for ServeConfig {
         Self {
             workers: 4,
             admission_depth: 64,
-            exec_depth: 4,
             batch: BatchPolicy::default(),
-            adaptive: Some(AdaptivePolicy::default()),
-            retry_after_ms: 10,
             session: SessionPolicy::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// Checks the runtime shape: at least one worker, non-zero queue
-    /// depths, and consistent batching policies. The error says which
-    /// rule was broken. (The session policy is checked with the rest of
-    /// the [`SystemConfig`] when the service starts.)
+    /// Checks the runtime shape: at least one worker, a non-zero
+    /// admission depth, and a batch of at least one request. The error
+    /// says which rule was broken. (The session policy is checked with the
+    /// rest of the [`SystemConfig`] when the service starts.)
     pub(crate) fn check(&self) -> Result<(), &'static str> {
         if self.workers < 1 {
             return Err("need at least one worker");
@@ -136,11 +125,10 @@ impl ServeConfig {
         if self.admission_depth < 1 {
             return Err("admission queue needs depth");
         }
-        if self.exec_depth < 1 {
-            return Err("exec queue needs depth");
+        if self.batch.max_batch < 1 {
+            return Err("a batch holds at least one request");
         }
-        self.batch.check()?;
-        self.adaptive.as_ref().map_or(Ok(()), AdaptivePolicy::check)
+        Ok(())
     }
 }
 
@@ -229,7 +217,6 @@ struct Shared {
     in_flight: AtomicUsize,
     /// Serializes administrators: one reconfiguration at a time.
     reconfig: Mutex<()>,
-    retry_after_ms: u32,
     stats: Stats,
 }
 
@@ -241,9 +228,9 @@ struct Shared {
 /// [`ServerHandle::shutdown`] (or drop).
 ///
 /// # Errors
-/// `InvalidInput` if `cfg` has no worker, a zero queue depth or an
-/// inconsistent batching policy, or if the service config fails
-/// validation; otherwise any bind or thread-spawn error.
+/// `InvalidInput` if `cfg` has no worker, a zero admission depth or a
+/// zero `batch.max_batch`, or if the service config fails validation;
+/// otherwise any bind or thread-spawn error.
 pub fn spawn(
     service: ServiceConfig,
     cfg: ServeConfig,
@@ -276,20 +263,20 @@ pub fn spawn_recorded(
         swapping: AtomicBool::new(false),
         in_flight: AtomicUsize::new(0),
         reconfig: Mutex::new(()),
-        retry_after_ms: cfg.retry_after_ms,
         stats: Stats::default(),
     });
     let admission = Arc::new(Bounded::new(cfg.admission_depth, "admission"));
-    let exec: Arc<Bounded<Vec<Job>>> = Arc::new(Bounded::new(cfg.exec_depth, "exec"));
+    // One waiting batch per worker keeps every worker fed while the
+    // batcher gathers the next batch.
+    let exec: Arc<Bounded<Vec<Job>>> = Arc::new(Bounded::new(cfg.workers, "exec"));
 
     let batcher = {
         let admission = Arc::clone(&admission);
         let exec = Arc::clone(&exec);
         let shared = Arc::clone(&shared);
-        let controller = BatchController::new(cfg.batch, cfg.adaptive);
         thread::Builder::new()
             .name("at-serve-batcher".into())
-            .spawn(move || run_batcher(&admission, &exec, &shared, controller))?
+            .spawn(move || run_batcher(&admission, &exec, &shared, &cfg.batch))?
     };
 
     let reaper_stop = Arc::new(ReaperStop::default());
@@ -699,6 +686,9 @@ fn run_conn(mut stream: TcpStream, shared: &Shared, admission: &Bounded<Job>) {
     }
 }
 
+/// Retry hint attached to [`Frame::Overloaded`] responses.
+const RETRY_AFTER_MS: u32 = 10;
+
 fn shed(shared: &Shared) -> Frame {
     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
     at_obs::count!("at_serve_shed_total");
@@ -706,7 +696,7 @@ fn shed(shared: &Shared) -> Frame {
         Frame::ShuttingDown
     } else {
         Frame::Overloaded {
-            retry_after_ms: shared.retry_after_ms,
+            retry_after_ms: RETRY_AFTER_MS,
         }
     }
 }
@@ -744,7 +734,9 @@ fn handle_localize(
     };
     if admission.try_push(job).is_err() {
         shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        return shed(shared);
+        let reply = shed(shared);
+        shared.core.outcome(query.seq, &reply);
+        return reply;
     }
     // `Err`: the pipeline dropped the job mid-shutdown unanswered.
     let reply = reply_rx.recv().unwrap_or(Frame::ShuttingDown);
@@ -807,16 +799,15 @@ fn run_batcher(
     admission: &Bounded<Job>,
     exec: &Bounded<Vec<Job>>,
     shared: &Shared,
-    mut controller: BatchController,
+    policy: &BatchPolicy,
 ) {
     let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
-    while let Some(batch) = gather(admission, controller.policy()) {
+    while let Some(batch) = gather(admission, policy) {
         // A request that expired while queued must not occupy a batch slot.
         let now = Instant::now();
         for job in &batch {
             dwell.observe(now.saturating_duration_since(job.enqueued).as_secs_f64());
         }
-        controller.on_batch();
         let live: Vec<Job> = batch
             .into_iter()
             .filter(|job| !expire_deadline(shared, job, now))

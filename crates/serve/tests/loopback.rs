@@ -189,13 +189,10 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        exec_depth: 1,
         batch: BatchPolicy {
             window: Duration::from_millis(1),
             max_batch: 2,
         },
-        adaptive: None,
-        retry_after_ms: 5,
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
@@ -260,7 +257,6 @@ fn queued_past_deadline_requests_are_dropped_before_fusion() {
             window: Duration::from_millis(120),
             max_batch: 8,
         },
-        adaptive: None,
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
@@ -288,7 +284,6 @@ fn shutdown_drains_in_flight_requests_then_refuses_new_ones() {
             window: Duration::from_millis(300),
             max_batch: 8,
         },
-        adaptive: None,
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");

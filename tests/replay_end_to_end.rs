@@ -20,6 +20,9 @@
 //!   submits, failures, ticks, known and unknown keys, an AP removed and
 //!   another added — journals a run that `replay_in_process` reproduces
 //!   with zero divergence on every query.
+//! - **Shed queries close their record**: under a storm that admission
+//!   control sheds, every journaled query still gets exactly one
+//!   outcome, and the journal holds one `Overloaded` per shed request.
 
 use arraytrack::channel::geometry::pt;
 use arraytrack::config::TopologyOp;
@@ -27,13 +30,13 @@ use arraytrack::core::health::HealthPolicy;
 use arraytrack::core::synthesis::{ApPose, SearchRegion};
 use arraytrack::core::AoaSpectrum;
 use arraytrack::replay::{
-    replay_in_process, replay_wire, Event, Journal, JournalError, JournalMeta, Pacing, Recorder,
-    RecorderConfig, WireOptions,
+    replay_in_process, replay_wire, Event, Journal, JournalError, JournalMeta, Outcome, Pacing,
+    Recorder, RecorderConfig, WireOptions,
 };
 use arraytrack::serve::proto::Frame;
 use arraytrack::serve::{
-    spawn_recorded, ApClient, AppClient, ClientConfig, FuseScratch, RecordTap, ServeConfig,
-    ServiceConfig, ServiceCore, SessionPolicy, SessionRef,
+    spawn_recorded, ApClient, AppClient, ClientConfig, ClientError, FuseScratch, RecordTap,
+    ServeConfig, ServiceConfig, ServiceCore, SessionPolicy, SessionRef,
 };
 use arraytrack::testbed::replay::{
     golden_deployment, golden_experiment, golden_meta, golden_service, golden_session_policy,
@@ -42,6 +45,7 @@ use arraytrack::testbed::replay::{
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::thread;
 use std::time::Duration;
 
 /// A unique scratch directory under the system temp dir, removed on drop.
@@ -415,6 +419,93 @@ fn service_core_replays_its_own_journal_bit_exactly() {
     assert_eq!(report.queries, queries);
     assert_eq!(report.compared, queries, "every fused reply is comparable");
     assert_eq!(report.divergences, 0, "{:?}", report.divergence_details);
+}
+
+#[test]
+fn shed_queries_are_journaled_with_their_overloaded_outcome() {
+    const KEYS: u64 = 8;
+    let scratch = Scratch::new("shed");
+    let service = synthetic_service();
+    // Room for every key's full session: no cap eviction thins a sweep.
+    let session = SessionPolicy {
+        max_resident_spectra: KEYS as usize * service.poses.len(),
+        ..syn_session_policy()
+    };
+    let recorder = Arc::new(
+        Recorder::create(
+            scratch.path(),
+            JournalMeta::for_service(&service, session),
+            RecorderConfig::default(),
+        )
+        .expect("recorder"),
+    );
+    let tap: Arc<dyn RecordTap> = recorder.clone();
+    // One worker behind a one-slot admission queue: a storm must shed.
+    let server = spawn_recorded(
+        service.clone(),
+        ServeConfig {
+            workers: 1,
+            admission_depth: 1,
+            session,
+            ..ServeConfig::default()
+        },
+        "127.0.0.1:0",
+        Some(tap),
+    )
+    .expect("spawn");
+    let addr = server.addr();
+    // Every key cites every AP, so every admitted query runs a full sweep.
+    let mut ap = ApClient::connect(addr, ClientConfig::default()).expect("ap");
+    for key in 1..=KEYS {
+        let target = pt(2.0 + 2.0 * key as f64, 1.0 + key as f64);
+        for id in 0..service.poses.len() {
+            ap.submit(key, id as u32, 0, &lobe(&service, id, target))
+                .expect("submit");
+        }
+    }
+    let storm: Vec<_> = (0..32u64)
+        .map(|i| {
+            thread::spawn(move || {
+                let cfg = ClientConfig {
+                    max_attempts: 1,
+                    ..ClientConfig::default()
+                };
+                let mut app = AppClient::connect(addr, cfg).expect("app");
+                for _ in 0..4 {
+                    match app.localize(1 + i % KEYS, None) {
+                        Ok(_) | Err(ClientError::Overloaded { .. }) => {}
+                        Err(e) => panic!("unexpected error under load: {e}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in storm {
+        h.join().expect("storm thread");
+    }
+    drop(ap);
+    let stats = server.shutdown();
+    assert!(!recorder.finish().failed);
+    assert!(stats.shed > 0, "the storm was never shed");
+
+    let journal = Journal::open(scratch.path()).expect("journal opens");
+    let queries: Vec<u64> = journal
+        .records
+        .iter()
+        .filter(|r| matches!(r.event, Event::Query { .. }))
+        .map(|r| r.seq)
+        .collect();
+    let (mut answered, mut overloaded) = (Vec::new(), 0);
+    for r in &journal.records {
+        if let Event::Outcome { query_seq, outcome } = &r.event {
+            answered.push(*query_seq);
+            overloaded += u64::from(*outcome == Outcome::Overloaded);
+        }
+    }
+    answered.sort_unstable();
+    assert_eq!(queries.len(), 32 * 4);
+    assert_eq!(answered, queries, "every query has exactly one outcome");
+    assert_eq!(overloaded, stats.shed);
 }
 
 /// The AP poses a core's current epoch advertises.
