@@ -16,9 +16,17 @@
 #   tier1        — the full test suite (ROADMAP.md's tier-1 bar)
 #   dsp          — at-dsp's unit, property and doc tests: the packet
 #                  detector (−10 dB detection, false alarms, two frames,
-#                  overlap-save FFT correlation vs the direct oracle), the
-#                  zero-allocation detect proof, FFT and correlation-matrix
-#                  properties (root `cargo test` covers only the facade)
+#                  the split-reference overlap-save FFT correlation vs the
+#                  direct oracle), the zero-allocation detect proof, the
+#                  split-layout FFT kernel vs a naive DFT at every power of
+#                  two to 4096, FFT and correlation-matrix properties (root
+#                  `cargo test` covers only the facade)
+#   core         — the crates' own unit, integration and doc tests that no
+#                  other gate runs: at-core (its library tests, including
+#                  the one-pass suppression vs per-pair oracle property,
+#                  and tests/{engine_parity,kernel_parity,zero_alloc,
+#                  proptests}.rs), at-linalg, at-channel, at-frontend,
+#                  at-obs and at-testbed
 #   proto        — at-serve wire-protocol unit tests (--quick and --stage)
 #   proto-props  — wire-protocol property tests: decoder totality,
 #                  bit-exact round trips, version gating
@@ -82,7 +90,7 @@ cd "$(dirname "$0")"
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 dsp proto proto-props codec replay topology robustness serve serve-sessions lint doc bench-smoke)
+STAGES=(fmt build tier1 dsp core proto proto-props codec replay topology robustness serve serve-sessions lint doc bench-smoke)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -190,6 +198,7 @@ run_stage() {
     build) stage build cargo build --release ;;
     tier1) stage tier1 cargo test -q ;;
     dsp) stage dsp cargo test -q -p at-dsp ;;
+    core) stage core cargo test -q -p at-core -p at-linalg -p at-channel -p at-frontend -p at-obs -p at-testbed ;;
     proto) stage proto cargo test -q -p at-serve --lib ;;
     proto-props) stage proto-props cargo test -q -p at-serve --test proto_proptests ;;
     codec) stage codec codec_gate ;;
@@ -240,6 +249,7 @@ else
     run_stage build
     run_stage tier1
     run_stage dsp
+    run_stage core
     run_stage codec
     run_stage replay
     run_stage topology

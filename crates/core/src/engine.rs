@@ -45,7 +45,6 @@ use at_channel::geometry::Point;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::f64::consts::TAU;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Coarse block edge length the engine targets, meters.
@@ -105,18 +104,35 @@ impl GridKey {
 }
 
 static GRID_CACHE: OnceLock<Mutex<HashMap<GridKey, Arc<ApGrid>>>> = OnceLock::new();
-static GRID_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static GRID_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// `(hits, misses)` of the process-wide per-AP grid cache since process
-/// start. An epoch rebuild that keeps `k` of `n` APs unchanged shows up
-/// as `k` hits and `n − k` misses (the topology tests pin this down).
+/// `(hits, misses)` of the grid cache per key since process start.
 #[cfg(test)]
-pub(crate) fn grid_cache_stats() -> (u64, u64) {
-    (
-        GRID_CACHE_HITS.load(Ordering::Relaxed),
-        GRID_CACHE_MISSES.load(Ordering::Relaxed),
-    )
+static GRID_CACHE_COUNTS: OnceLock<Mutex<HashMap<GridKey, (u64, u64)>>> = OnceLock::new();
+
+#[cfg(test)]
+fn count_grid_lookup(key: GridKey, hit: bool) {
+    let mut counts = GRID_CACHE_COUNTS
+        .get_or_init(Default::default)
+        .lock()
+        .expect("grid cache counts lock");
+    let (hits, misses) = counts.entry(key).or_default();
+    *if hit { hits } else { misses } += 1;
+}
+
+/// `(hits, misses)` of the grid cache for one AP's grid since process
+/// start. An epoch rebuild that keeps an AP unchanged shows up as one hit
+/// on its key. Counted per key because other tests build engines on
+/// parallel threads: process-wide deltas would count their lookups too.
+#[cfg(test)]
+fn grid_cache_stats(pose: &ApPose, region: SearchRegion, bins: usize) -> (u64, u64) {
+    let key = GridKey::new(pose, &region, bins);
+    GRID_CACHE_COUNTS
+        .get_or_init(Default::default)
+        .lock()
+        .expect("grid cache counts lock")
+        .get(&key)
+        .copied()
+        .unwrap_or_default()
 }
 
 /// Looks up (or computes and caches) one AP's grid. The computation is a
@@ -126,10 +142,12 @@ fn ap_grid(pose: &ApPose, region: SearchRegion, bins: usize) -> Arc<ApGrid> {
     let key = GridKey::new(pose, &region, bins);
     let cache = GRID_CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(hit) = cache.lock().expect("grid cache lock").get(&key) {
-        GRID_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        count_grid_lookup(key, true);
         return Arc::clone(hit);
     }
-    GRID_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    count_grid_lookup(key, false);
     let grid = Arc::new(build_ap_grid(pose, region, bins));
     let mut map = cache.lock().expect("grid cache lock");
     if map.len() >= GRID_CACHE_CAP {
@@ -728,7 +746,9 @@ mod tests {
 
     /// An epoch rebuild that keeps `k` APs pays only for the changed
     /// ones: the process-wide grid cache serves the unchanged APs, and
-    /// the slabs it yields are byte-identical to a cold build.
+    /// the slabs it yields are byte-identical to a cold build. The cache
+    /// is counted per key, so engines that other tests build on parallel
+    /// threads cannot move the counts checked here.
     #[test]
     fn epoch_rebuild_reuses_cached_grids_bit_exactly() {
         let poses: Vec<ApPose> = (0..4)
@@ -743,11 +763,18 @@ mod tests {
         // Remove AP 1: three grids survive unchanged.
         let mut fewer = poses.clone();
         fewer.remove(1);
-        let (h0, m0) = grid_cache_stats();
+        let stats = |poses: &[ApPose]| {
+            poses
+                .iter()
+                .map(|pose| grid_cache_stats(pose, region, 720))
+                .collect::<Vec<_>>()
+        };
+        let before = stats(&fewer);
         let e1 = LocalizationEngine::new(&fewer, region, 720);
-        let (h1, m1) = grid_cache_stats();
-        assert_eq!(h1 - h0, 3, "three unchanged APs must hit the cache");
-        assert_eq!(m1 - m0, 0);
+        for ((h0, m0), (h1, m1)) in before.into_iter().zip(stats(&fewer)) {
+            assert_eq!(h1 - h0, 1, "three unchanged APs must hit the cache");
+            assert_eq!(m1 - m0, 0);
+        }
 
         // The reused slabs are byte-identical to the original build's.
         let (nx, ny) = (e0.nx, e0.ny);

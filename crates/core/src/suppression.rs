@@ -65,6 +65,10 @@ impl Default for SuppressionConfig {
 /// every spectrum would let one frame's wobble past the tolerance kill it.
 /// With fewer than two spectra the primary is returned unchanged (Fig. 8
 /// step 1's fall-through).
+///
+/// Each spectrum's peak list is found once: the primary's before any lobe
+/// is scaled or removed, each other spectrum's at `pairing_threshold`
+/// (the others are never modified), so pairing is a scan of short lists.
 pub fn suppress_multipath(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> AoaSpectrum {
     assert!(!spectra.is_empty(), "need at least one spectrum");
     let _t = at_obs::time_stage!(at_obs::stages::SUPPRESSION, "frames" => spectra.len());
@@ -73,11 +77,19 @@ pub fn suppress_multipath(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> A
         return primary;
     }
     let peaks = primary.find_peaks(cfg.peak_threshold);
+    let pairing: Vec<Vec<Peak>> = spectra[1..]
+        .iter()
+        .map(|s| s.find_peaks(cfg.pairing_threshold))
+        .collect();
     let needed = (spectra.len() - 1).div_ceil(2);
     for peak in peaks {
-        let matches = spectra[1..]
+        let matches = pairing
             .iter()
-            .filter(|s| s.has_peak_near(peak.theta, cfg.match_tolerance, cfg.pairing_threshold))
+            .filter(|others| {
+                others
+                    .iter()
+                    .any(|p| angle_diff(p.theta, peak.theta) <= cfg.match_tolerance)
+            })
             .count();
         if matches < needed {
             if cfg.removal_attenuation > 0.0 {
@@ -135,6 +147,92 @@ pub fn classify_stability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The per-pair form the one-pass suppression replaced: every
+    /// (primary peak, other spectrum) pair reruns `find_peaks` through
+    /// `has_peak_near`. The oracle for [`suppress_multipath`].
+    fn suppress_per_pair(spectra: &[AoaSpectrum], cfg: &SuppressionConfig) -> AoaSpectrum {
+        let mut primary = spectra[0].clone();
+        if spectra.len() < 2 {
+            return primary;
+        }
+        let peaks = primary.find_peaks(cfg.peak_threshold);
+        let needed = (spectra.len() - 1).div_ceil(2);
+        for peak in peaks {
+            let matches = spectra[1..]
+                .iter()
+                .filter(|s| s.has_peak_near(peak.theta, cfg.match_tolerance, cfg.pairing_threshold))
+                .count();
+            if matches < needed {
+                if cfg.removal_attenuation > 0.0 {
+                    primary.scale_lobe(peak.theta, cfg.removal_attenuation);
+                } else {
+                    primary.remove_peak(peak.theta);
+                }
+            }
+        }
+        primary
+    }
+
+    /// One generated lobe: centre (degrees), power, width (radians), and
+    /// shape (0–1 Gaussian, 2 flat-topped, 3 Gaussian straddling 0/2π).
+    type LobeSpec = (f64, f64, f64, usize);
+
+    /// A spectrum of `bins` bins from generated lobes over a small floor;
+    /// `zero` yields the all-zero spectrum instead.
+    fn generated(bins: usize, zero: bool, lobes: &[LobeSpec]) -> AoaSpectrum {
+        AoaSpectrum::from_fn(bins, |t| {
+            if zero {
+                return 0.0;
+            }
+            let mut v = 1e-4;
+            for &(deg, power, width, shape) in lobes {
+                let centre = match shape {
+                    3 => (358.0 + deg / 90.0).to_radians(),
+                    _ => deg.to_radians(),
+                };
+                let g = (-(angle_diff(t, centre) / width).powi(2)).exp();
+                v += power * if shape == 2 { (3.0 * g).min(1.0) } else { g };
+            }
+            v
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass form is bit-identical to the per-pair oracle.
+        #[test]
+        fn one_pass_suppression_matches_the_per_pair_oracle(
+            group in vec(
+                (0usize..8, vec((0.0f64..360.0, 0.05f64..1.0, 0.02f64..0.3, 0usize..4), 0..6)),
+                1..5,
+            ),
+            bins in 0usize..3,
+            tolerance in 0.01f64..0.3,
+            thresholds in (0.005f64..0.5, 0.05f64..1.0),
+            attenuation in (0usize..2, 0.01f64..1.0),
+        ) {
+            let bins = [90, 360, 720][bins];
+            let spectra: Vec<AoaSpectrum> = group
+                .iter()
+                .map(|(kind, lobes)| generated(bins, *kind == 0, lobes))
+                .collect();
+            let cfg = SuppressionConfig {
+                match_tolerance: tolerance,
+                peak_threshold: thresholds.0,
+                pairing_threshold: thresholds.0 * thresholds.1,
+                removal_attenuation: if attenuation.0 == 0 { 0.0 } else { attenuation.1 },
+            };
+            let bits = |s: &AoaSpectrum| s.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(
+                bits(&suppress_multipath(&spectra, &cfg)),
+                bits(&suppress_per_pair(&spectra, &cfg))
+            );
+        }
+    }
 
     /// Builds a spectrum with Gaussian lobes at the given (deg, power) list.
     fn lobes(specs: &[(f64, f64)]) -> AoaSpectrum {

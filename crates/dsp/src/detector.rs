@@ -14,7 +14,7 @@
 //! Both report sample-accurate frame start offsets.
 
 use crate::fft::FftPlan;
-use at_linalg::Complex64;
+use at_linalg::{c64, Complex64};
 use std::cell::RefCell;
 
 /// A detection event: where a frame starts and how strong the metric was.
@@ -28,7 +28,7 @@ pub struct Detection {
 
 /// Reusable workspace for the detectors' hot paths: the timing metric /
 /// correlation traces, the sliding-energy prefix sums, the matched
-/// filter's overlap-save block, and the peak lists.
+/// filter's two overlap-save blocks (split re/im), and the peak lists.
 ///
 /// The `_into` detector methods write into one of these instead of
 /// allocating per call; [`SchmidlCox::detect`], [`MatchedFilter::detect`]
@@ -40,7 +40,7 @@ pub struct DetectScratch {
     metric: Vec<f64>,
     prefix: Vec<f64>,
     corr: Vec<f64>,
-    block: Vec<Complex64>,
+    blocks: [SplitBlock; 2],
     peaks: Vec<Detection>,
     kept: Vec<Detection>,
 }
@@ -57,6 +57,9 @@ impl DetectScratch {
         &self.kept
     }
 }
+
+/// Complex samples in split storage: real parts, imaginary parts.
+type SplitBlock = (Vec<f64>, Vec<f64>);
 
 thread_local! {
     static DETECT_SCRATCH: RefCell<DetectScratch> = RefCell::new(DetectScratch::new());
@@ -170,13 +173,20 @@ impl SchmidlCox {
 /// Full-preamble matched filter: normalized cross-correlation of the
 /// received stream against the known 16 µs preamble waveform.
 ///
-/// The correlation runs as overlap-save FFT convolution. With `L` the
-/// reference length and `M = next_pow2(2L)` the block size (640 and 2048
-/// at 40 MS/s), each block of `M` input samples yields `M − L + 1`
-/// correlation outputs for one forward transform, one pointwise product
-/// and one inverse transform, against `O(M·L)` for the direct sliding dot
-/// product. A 1040-sample capture window is a single block; longer streams
-/// step through the input `M − L + 1` samples at a time.
+/// The correlation runs as overlap-save FFT convolution, with the
+/// reference split into two halves. With `L` the reference length,
+/// `L₁ = ⌈L/2⌉` the first half's and `M = next_pow2(2·L₁)` the block size
+/// (640, 320 and 1024 at 40 MS/s), each block yields `M − L₁ + 1`
+/// correlation outputs for two forward transforms (one per half, over
+/// input windows `L₁` samples apart), one pointwise multiply-add of both
+/// spectra against the halves' kernels, and one inverse transform, against
+/// `O(M·L)` for the direct sliding dot product. Three `M`-point transforms
+/// cost less than the two `2M`-point ones an unsplit reference needs. The
+/// forward pass leaves a spectrum in bit-reversed order, the kernels are
+/// stored in that order, and the inverse pass takes bit-reversed input,
+/// so no pass permutes a block. A 1040-sample capture window is a single
+/// block; longer streams step through the input `M − L₁ + 1` samples at a
+/// time.
 ///
 /// ```
 /// use at_dsp::preamble::{Preamble, SAMPLE_RATE_HZ};
@@ -193,10 +203,14 @@ impl SchmidlCox {
 pub struct MatchedFilter {
     /// Reference preamble length `L` in samples.
     reference_len: usize,
-    /// `conj(G) / M`, where `G` is the `M`-point spectrum of the
-    /// conjugated, time-reversed, unit-energy reference, zero-padded.
-    spectrum: Vec<Complex64>,
-    /// The `M`-point transform's twiddle and bit-reversal tables.
+    /// Taps in the reference's first half, `L₁ = ⌈L/2⌉`.
+    half_len: usize,
+    /// Each half's kernel `G / M` in bit-reversed order: `G` is the
+    /// `M`-point spectrum of the half of the conjugated, unit-energy
+    /// reference, time-reversed and zero-padded. The second half is
+    /// front-padded to `L₁` taps, so both halves' valid outputs line up.
+    kernels: [SplitBlock; 2],
+    /// The `M`-point transform's twiddles.
     plan: FftPlan,
     /// Detection threshold on normalized correlation (0..1).
     threshold: f64,
@@ -215,12 +229,12 @@ fn unit_reference(preamble: &crate::preamble::Preamble, sample_rate_hz: f64) -> 
 
 /// Sliding window energy via prefix sums: `prefix[i] = Σ_{k<i} |rx[k]|²`.
 fn energy_prefix_into(rx: &[Complex64], prefix: &mut Vec<f64>) {
-    prefix.clear();
-    prefix.reserve(rx.len() + 1);
-    prefix.push(0.0);
-    for z in rx {
-        let last = *prefix.last().expect("non-empty prefix");
-        prefix.push(last + z.norm_sqr());
+    prefix.resize(rx.len() + 1, 0.0);
+    let mut sum = 0.0;
+    prefix[0] = sum;
+    for (p, z) in prefix[1..].iter_mut().zip(rx) {
+        sum += z.norm_sqr();
+        *p = sum;
     }
 }
 
@@ -240,21 +254,33 @@ impl MatchedFilter {
     pub fn new(preamble: &crate::preamble::Preamble, sample_rate_hz: f64) -> Self {
         let reference = unit_reference(preamble, sample_rate_hz);
         let len = reference.len();
-        let m = (2 * len).next_power_of_two();
+        let half_len = len.div_ceil(2);
+        let m = (2 * half_len).next_power_of_two();
         let plan = FftPlan::new(m);
-        // Correlation with `r` is convolution with its time reverse `g`;
-        // the valid outputs of an `M`-point circular convolution sit at
-        // `L − 1..M`.
-        let mut spectrum: Vec<Complex64> = reference.iter().rev().copied().collect();
-        spectrum.resize(m, Complex64::ZERO);
-        plan.forward(&mut spectrum);
+        // Correlation with a half `h` is convolution with its time reverse
+        // `g`; the valid outputs of an `M`-point circular convolution with
+        // an `L₁`-tap kernel sit at `L₁ − 1..M`. The forward pass leaves
+        // `G` in bit-reversed order, the order the blocks' spectra come
+        // out in.
         let scale = 1.0 / m as f64;
-        for z in &mut spectrum {
-            *z = z.conj().scale(scale);
-        }
+        let kernels = [&reference[..half_len], &reference[half_len..]].map(|half| {
+            let pad = half_len - half.len();
+            let (mut re, mut im) = (vec![0.0; m], vec![0.0; m]);
+            for ((re, im), z) in re[pad..]
+                .iter_mut()
+                .zip(&mut im[pad..])
+                .zip(half.iter().rev())
+            {
+                *re = z.re * scale;
+                *im = z.im * scale;
+            }
+            plan.forward(&mut re, &mut im, half_len);
+            (re, im)
+        });
         Self {
             reference_len: len,
-            spectrum,
+            half_len,
+            kernels,
             plan,
             threshold: 0.5,
         }
@@ -284,7 +310,7 @@ impl MatchedFilter {
         let DetectScratch {
             prefix,
             corr,
-            block,
+            blocks: [(ar, ai), (br, bi)],
             ..
         } = scratch;
         prefix.clear();
@@ -294,27 +320,50 @@ impl MatchedFilter {
             return;
         }
         energy_prefix_into(rx, prefix);
-        let m = self.spectrum.len();
-        let step = m - len + 1;
+        let first = self.half_len;
+        let m = self.plan.len();
+        let step = m - first + 1;
         let outputs = rx.len() - len + 1;
         corr.reserve(outputs);
-        for start in (0..outputs).step_by(step) {
-            block.clear();
-            block.extend_from_slice(&rx[start..rx.len().min(start + m)]);
-            block.resize(m, Complex64::ZERO);
-            self.plan.forward(block);
-            // The inverse transform as a forward one on the conjugate:
-            // FFT(conj(X·G) / M) = conj(IFFT(X·G)), and only the
-            // magnitude is kept.
-            for (z, h) in block.iter_mut().zip(&self.spectrum) {
-                *z = z.conj() * *h;
-            }
-            self.plan.forward(block);
-            let count = step.min(outputs - start);
-            for (j, acc) in block[len - 1..len - 1 + count].iter().enumerate() {
-                corr.push(normalized(acc.abs(), prefix, start + j, len));
-            }
+        for block in [&mut *ar, &mut *ai, &mut *br, &mut *bi] {
+            block.resize(m, 0.0);
         }
+        let (ar, ai, br, bi) = (&mut ar[..m], &mut ai[..m], &mut br[..m], &mut bi[..m]);
+        let [(gar, gai), (gbr, gbi)] = &self.kernels;
+        let (gar, gai, gbr, gbi) = (&gar[..m], &gai[..m], &gbr[..m], &gbi[..m]);
+        for start in (0..outputs).step_by(step) {
+            let count = step.min(outputs - start);
+            // Output `d` correlates the first half over `rx[d..d + L₁]`
+            // and the second over `rx[d + L₁..d + L]`.
+            self.forward_block(ar, ai, &rx[start..start + count + first - 1]);
+            self.forward_block(br, bi, &rx[start + first..start + count + len - 1]);
+            // Every spectrum is in bit-reversed order: the products need
+            // no permutation, and the inverse pass restores natural order.
+            for k in 0..m {
+                let (xr, xi, yr, yi) = (ar[k], ai[k], br[k], bi[k]);
+                ar[k] = (xr * gar[k] - xi * gai[k]) + (yr * gbr[k] - yi * gbi[k]);
+                ai[k] = (xr * gai[k] + xi * gar[k]) + (yr * gbi[k] + yi * gbr[k]);
+            }
+            let valid = first - 1..first - 1 + count;
+            self.plan.inverse(ar, ai, valid.clone());
+            corr.extend(
+                ar[valid.clone()]
+                    .iter()
+                    .zip(&ai[valid])
+                    .enumerate()
+                    .map(|(j, (&re, &im))| normalized(c64(re, im).abs(), prefix, start + j, len)),
+            );
+        }
+    }
+
+    /// Copies `input` into a split block, zero-padded to the block size,
+    /// and transforms it in place.
+    fn forward_block(&self, re: &mut [f64], im: &mut [f64], input: &[Complex64]) {
+        for ((re, im), z) in re.iter_mut().zip(im.iter_mut()).zip(input) {
+            *re = z.re;
+            *im = z.im;
+        }
+        self.plan.forward(re, im, input.len());
     }
 
     /// Returns all detections: local maxima of the correlation above the
@@ -616,6 +665,38 @@ mod tests {
             lens.extend([edge - 1, edge, edge + 1]);
         }
         lens.get(pick).copied().unwrap_or(l + extra % (4 * step))
+    }
+
+    /// The split-reference blocks step `M − L₁ + 1` outputs at a time:
+    /// streams ending one sample either side of each of the first four
+    /// block edges, with a preamble whose correlation peak sits on the
+    /// first edge, match the direct oracle.
+    #[test]
+    fn split_blocks_match_the_direct_oracle_at_every_block_edge() {
+        let p = Preamble::new();
+        let mf = MatchedFilter::new(&p, SAMPLE_RATE_HZ).with_threshold(0.15);
+        let reference = unit_reference(&p, SAMPLE_RATE_HZ);
+        let l = reference.len();
+        let step = mf.plan.len() - mf.half_len + 1;
+        for k in 1..=4 {
+            for len in [k * step + l - 2, k * step + l - 1, k * step + l] {
+                let straddle = (step - 1) as f64 / (len - l + 1) as f64;
+                let rx = parity_stream(len, [straddle, 0.9], 0.0, (0.0, 0), 1.0, len as u64);
+                let direct = direct_correlation(&reference, &rx);
+                let fast = mf.correlation(&rx);
+                assert_eq!(fast.len(), direct.len());
+                let worst = fast
+                    .iter()
+                    .zip(&direct)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(worst <= 1e-9, "len {len}: max |dcorr| {worst:e}");
+                let starts = |dets: &[Detection]| dets.iter().map(|d| d.start).collect::<Vec<_>>();
+                let expect = starts(&direct_detect_all(&mf, &direct));
+                assert!(!expect.is_empty(), "len {len}: no preamble found");
+                assert_eq!(starts(&mf.detect_all(&rx)), expect, "len {len}");
+            }
+        }
     }
 
     proptest::proptest! {

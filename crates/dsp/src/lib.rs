@@ -6,11 +6,15 @@
 //! - [`preamble`]: continuous-time 802.11 OFDM preamble and data-symbol
 //!   synthesis (paper Fig. 2) — exact fractional-delay evaluation for the
 //!   multipath channel;
-//! - [`fft`]: radix-2 FFT used in OFDM analysis, tests and the matched
-//!   filter's overlap-save correlation;
+//! - [`fft`]: one radix-2/radix-4 FFT kernel over split re/im storage,
+//!   whose forward pass leaves bit-reversed order and whose inverse pass
+//!   takes it, so the matched filter's overlap-save correlation never
+//!   permutes; `fft`/`ifft` add the permutation for OFDM analysis and
+//!   tests;
 //! - [`awgn`]: seedable complex Gaussian noise + dB/SNR bookkeeping;
 //! - [`detector`]: Schmidl–Cox and the paper's full-preamble matched filter
-//!   (§2.1, §4.3.4 — detection at −10 dB SNR), correlating by FFT;
+//!   (§2.1, §4.3.4 — detection at −10 dB SNR), correlating by FFT against
+//!   the reference's two halves;
 //! - [`corr`]: sample array-correlation matrices `Rxx` (eq. 4), the input
 //!   to MUSIC in `at-core`;
 //! - [`cfo`]: carrier-frequency-offset estimation from the repeated long

@@ -36,6 +36,7 @@ fn unknown_stage_exits_2_and_lists_the_valid_stage_names() {
         "build",
         "tier1",
         "dsp",
+        "core",
         "proto",
         "proto-props",
         "codec",
