@@ -26,7 +26,8 @@
 #                  the one-pass suppression vs per-pair oracle property,
 #                  and tests/{engine_parity,kernel_parity,zero_alloc,
 #                  proptests}.rs), at-linalg, at-channel, at-frontend,
-#                  at-obs and at-testbed
+#                  at-obs, at-testbed and at-bench (perf_report's baseline
+#                  parsing and gate logic, and the report helpers)
 #   proto        — at-serve wire-protocol unit tests (--quick and --stage)
 #   proto-props  — wire-protocol property tests: decoder totality,
 #                  bit-exact round trips, version gating
@@ -198,7 +199,7 @@ run_stage() {
     build) stage build cargo build --release ;;
     tier1) stage tier1 cargo test -q ;;
     dsp) stage dsp cargo test -q -p at-dsp ;;
-    core) stage core cargo test -q -p at-core -p at-linalg -p at-channel -p at-frontend -p at-obs -p at-testbed ;;
+    core) stage core cargo test -q -p at-core -p at-linalg -p at-channel -p at-frontend -p at-obs -p at-testbed -p at-bench ;;
     proto) stage proto cargo test -q -p at-serve --lib ;;
     proto-props) stage proto-props cargo test -q -p at-serve --test proto_proptests ;;
     codec) stage codec codec_gate ;;

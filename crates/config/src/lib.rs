@@ -11,7 +11,7 @@
 //! journal claimed to have recorded.
 //!
 //! [`SystemConfig`] unifies all of it — AP poses, search region, spectrum
-//! resolution, health policy, session policy, default uplink codec — with
+//! resolution, health policy, session policy — with
 //! a **canonical byte serialization** (`SystemConfig::canonical_bytes`,
 //! bit-exact for the float fields) and a **derived fingerprint**
 //! ([`SystemConfig::fingerprint`], FNV-1a over the canonical bytes). Two
@@ -110,41 +110,6 @@ impl SessionPolicy {
     }
 }
 
-/// Default uplink wire encoding the service advertises to AP clients
-/// (the codec itself lives in `at-serve`; the canonical config records
-/// the *policy* so two deployments with different defaults fingerprint
-/// differently).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CodecDefault {
-    /// Uncompressed `f64` bins (every server speaks it).
-    #[default]
-    Raw,
-    /// 16-bit log-domain quantization (protocol v3, ~10× smaller).
-    Quantized,
-    /// Bit-exact XOR-delta compression (protocol v3, ~1.5× smaller).
-    LosslessDelta,
-}
-
-impl CodecDefault {
-    fn to_byte(self) -> u8 {
-        match self {
-            Self::Raw => 0,
-            Self::Quantized => 1,
-            Self::LosslessDelta => 2,
-        }
-    }
-
-    #[cfg(test)]
-    fn from_byte(b: u8) -> Result<Self, ConfigError> {
-        match b {
-            0 => Ok(Self::Raw),
-            1 => Ok(Self::Quantized),
-            2 => Ok(Self::LosslessDelta),
-            _ => Err(ConfigError::Malformed("unknown codec default")),
-        }
-    }
-}
-
 /// Why a configuration (or a topology transition) was refused. Total and
 /// descriptive: these cross the wire as protocol-error payloads, so an
 /// admin sees *what* was wrong, and nothing here ever panics a server
@@ -236,7 +201,7 @@ impl std::error::Error for ConfigError {}
 
 /// The single canonical configuration of an ArrayTrack location service:
 /// everything that determines what a fix *is* — geometry, resolution,
-/// fusion policy, residency policy, uplink codec default.
+/// fusion policy, residency policy.
 ///
 /// See the module docs for why this is one struct with one byte form and
 /// one fingerprint instead of per-layer copies.
@@ -253,8 +218,6 @@ pub struct SystemConfig {
     pub health: HealthPolicy,
     /// Session residency and eviction policy.
     pub session: SessionPolicy,
-    /// Default uplink wire encoding.
-    pub codec: CodecDefault,
 }
 
 const POSE_BYTES: usize = 24;
@@ -405,8 +368,9 @@ impl SystemConfig {
         let mut out = Vec::with_capacity(128 + self.poses.len() * POSE_BYTES);
         out.extend_from_slice(&CANONICAL_MAGIC);
         out.extend_from_slice(&CANONICAL_VERSION.to_le_bytes());
-        out.push(self.codec.to_byte());
-        out.push(0); // reserved
+        // Two reserved zero bytes. The first held an uplink codec default
+        // that was always 0; keeping it keeps recorded fingerprints valid.
+        out.extend_from_slice(&[0, 0]);
         put_u32(&mut out, self.poses.len() as u32);
         for pose in &self.poses {
             put_pose(&mut out, pose);
@@ -442,8 +406,7 @@ impl SystemConfig {
         if version != CANONICAL_VERSION {
             return Err(ConfigError::UnsupportedVersion { version });
         }
-        let codec = CodecDefault::from_byte(c.u8("codec")?)?;
-        let _reserved = c.u8("reserved")?;
+        let _reserved = c.take::<2>("reserved")?;
         let n_aps = c.u32("ap count")? as usize;
         if n_aps > MAX_APS {
             return Err(ConfigError::TooManyAps { n_aps });
@@ -482,7 +445,6 @@ impl SystemConfig {
             bins,
             health,
             session,
-            codec,
         };
         config.validate()?;
         Ok(config)
@@ -685,7 +647,6 @@ mod tests {
             bins: 720,
             health: HealthPolicy::default(),
             session: SessionPolicy::default(),
-            codec: CodecDefault::LosslessDelta,
         }
     }
 
@@ -713,9 +674,6 @@ mod tests {
         let mut recapped = office();
         recapped.session.max_resident_spectra = 77;
         assert_ne!(recapped.fingerprint(), base);
-        let mut recoded = office();
-        recoded.codec = CodecDefault::Raw;
-        assert_ne!(recoded.fingerprint(), base);
     }
 
     #[test]

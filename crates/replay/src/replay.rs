@@ -28,7 +28,7 @@ use std::time::Duration;
 use at_config::TopologyOp;
 use at_obs::names;
 use at_serve::{
-    ApClient, AppClient, ClientConfig, ClientError, Encoding, FuseScratch, ServiceConfig,
+    ApClient, AppClient, ClientConfig, ClientError, Encoding, Frame, FuseScratch, ServiceConfig,
     ServiceCore, SessionPolicy, SessionRef,
 };
 
@@ -193,8 +193,9 @@ fn outcome_index(journal: &Journal) -> HashMap<u64, &Outcome> {
 ///
 /// `service` + `session` must be the epoch-0 deployment the journal was
 /// recorded under (checked by canonical fingerprint); recorded
-/// [`Event::Epoch`] transitions are re-prepared, re-fingerprinted against
-/// their recorded pin, and committed exactly as the live server did.
+/// [`Event::Epoch`] transitions go through [`ServiceCore::reconfigure`]
+/// exactly as on the live server, and the fingerprint it publishes must
+/// match the recorded pin.
 /// Reaper-driven time (idle eviction, staleness ticks) replays from
 /// journal events, so the policy's wall-clock knobs are inert here. Never
 /// panics on journal content: corrupt records were already rejected by the
@@ -237,12 +238,17 @@ pub fn replay_in_process(
             Event::Epoch {
                 fingerprint, op, ..
             } => {
-                let next = core.prepare(op).map_err(|_| JournalError::Malformed {
-                    at: 0,
-                    reason: "recorded epoch op does not apply to the current topology",
-                })?;
-                check_fingerprint(next.fingerprint(), *fingerprint)?;
-                core.commit(next);
+                let Ok(Frame::TopologyInfo {
+                    fingerprint: replayed,
+                    ..
+                }) = core.reconfigure(op)
+                else {
+                    return Err(JournalError::Malformed {
+                        at: 0,
+                        reason: "recorded epoch op does not apply to the current topology",
+                    });
+                };
+                check_fingerprint(replayed, *fingerprint)?;
             }
             Event::Query { key, deadline_ms } => {
                 report.queries += 1;
@@ -255,7 +261,7 @@ pub fn replay_in_process(
                     report.skipped += 1;
                     continue;
                 };
-                let replayed = Outcome::of_reply(&core.fuse(&query.obs, &mut scratch));
+                let replayed = Outcome::of_reply(&query.fuse(&mut scratch));
                 report.compare(record.seq, *key, recorded, &replayed);
             }
             Event::Outcome { .. } => {}

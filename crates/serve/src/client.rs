@@ -335,10 +335,11 @@ impl Client {
     }
 
     /// Applies one topology operation on the live server (protocol v5):
-    /// add, remove, or move an AP. The server drains in-flight requests
-    /// onto the old epoch, swaps, and answers with the new topology; an
-    /// invalid op is refused with a `ProtocolError` (`BAD_CONFIG`) and
-    /// the epoch is unchanged.
+    /// add, remove, or move an AP. The server swaps epochs without
+    /// pausing traffic (requests already admitted finish on the old
+    /// epoch) and answers with the topology it published; an invalid op
+    /// is refused with a `ProtocolError` (`BAD_CONFIG`) and the epoch is
+    /// unchanged.
     pub(crate) fn reconfigure(
         &mut self,
         op: &at_config::TopologyOp,

@@ -51,7 +51,5 @@ pub use client::{
 pub use codec::{CodecError, CompressedMode, Encoding};
 pub use proto::{ApHealthReport, ClientKey, DecodeError, Frame};
 pub use server::{spawn, spawn_recorded, ServeConfig, ServerHandle, ServiceConfig, StatsSnapshot};
-pub use service::{
-    BadAp, FuseScratch, LegacySession, PreparedEpoch, Query, RecordTap, ServiceCore, SessionRef,
-};
+pub use service::{BadAp, FuseScratch, LegacySession, Query, RecordTap, ServiceCore, SessionRef};
 pub use store::{KeyedObs, SessionPolicy, SessionStore, StoreStats};

@@ -9,7 +9,7 @@
 //!   (1/socket)    shed ⇒ Overloaded        (gather ≤ window)     queue
 //!                                                               │
 //!                                         workers ◀─────────────┘
-//!                      (ServiceCore::fuse per request, one scratch each)
+//!                      (Query::fuse per request, one scratch each)
 //! ```
 //!
 //! - **Admission control** is the `try_push` edge: when the admission
@@ -24,6 +24,10 @@
 //!   [`BatchPolicy::window`] into one hand-off to a worker, which fuses
 //!   them one engine sweep each. The exec queue holds one waiting batch
 //!   per worker.
+//! - **Reconfiguration** never stalls traffic: each admitted request
+//!   holds the topology epoch it was admitted under and fuses on it, so
+//!   a [`Frame::Reconfigure`] swaps the epoch without shedding or
+//!   draining anything.
 //! - **Shutdown** is drain-then-stop: the admission queue closes (new
 //!   requests see [`Frame::ShuttingDown`]), everything already admitted is
 //!   fused and answered, then the stage threads and connections wind down
@@ -39,14 +43,16 @@ use crate::batch::{gather, BatchPolicy};
 use crate::codec::{self, CompressedMode, Encoding};
 use crate::proto::{self, Frame, ReadError, HEADER_LEN};
 use crate::queue::Bounded;
-use crate::service::{BadAp, FuseScratch, LegacySession, RecordTap, ServiceCore, SessionRef};
-use crate::store::{KeyedObs, SessionPolicy};
+use crate::service::{
+    BadAp, FuseScratch, LegacySession, Query, RecordTap, ServiceCore, SessionRef,
+};
+use crate::store::SessionPolicy;
 use at_config::{SystemConfig, TopologyOp};
 use at_core::health::HealthPolicy;
 use at_core::synthesis::{ApPose, SearchRegion};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -82,7 +88,6 @@ impl ServiceConfig {
             bins: self.bins,
             health: self.policy,
             session,
-            codec: at_config::CodecDefault::default(),
         }
     }
 }
@@ -134,7 +139,7 @@ impl ServeConfig {
 
 /// One admitted localize request traveling through the stage queues.
 struct Job {
-    obs: Vec<KeyedObs>,
+    query: Query,
     /// Absolute expiry (frame receipt + the client's relative budget).
     deadline: Option<Instant>,
     /// When the request entered the admission queue (queue-dwell metric).
@@ -207,16 +212,6 @@ struct Shared {
     /// The service state machine every connection and worker drives.
     core: ServiceCore,
     draining: AtomicBool,
-    /// True while a reconfiguration is draining in-flight localizes; new
-    /// localizes are shed with [`Frame::Overloaded`] so the drain
-    /// terminates under any offered load.
-    swapping: AtomicBool,
-    /// Localize requests admitted but not yet replied. The epoch swap
-    /// waits for zero before committing, so no fix ever mixes two
-    /// epochs' engines or store contents.
-    in_flight: AtomicUsize,
-    /// Serializes administrators: one reconfiguration at a time.
-    reconfig: Mutex<()>,
     stats: Stats,
 }
 
@@ -260,9 +255,6 @@ pub fn spawn_recorded(
     let shared = Arc::new(Shared {
         core,
         draining: AtomicBool::new(false),
-        swapping: AtomicBool::new(false),
-        in_flight: AtomicUsize::new(0),
-        reconfig: Mutex::new(()),
         stats: Stats::default(),
     });
     let admission = Arc::new(Bounded::new(cfg.admission_depth, "admission"));
@@ -713,49 +705,34 @@ fn handle_localize(
     if shared.draining.load(Ordering::Acquire) {
         return Frame::ShuttingDown;
     }
-    // Take the in-flight credit *before* reading the swap flag: a
-    // reconfiguration raises the flag and then waits for zero credits, so
-    // either it waits for this request or this request sees the flag and
-    // is shed (retried by the client after the swap).
-    shared.in_flight.fetch_add(1, Ordering::SeqCst);
-    if shared.swapping.load(Ordering::SeqCst) {
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        return shed(shared);
-    }
     let deadline =
         (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
     let query = shared.core.query(session, deadline_ms);
+    let seq = query.seq;
     let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let job = Job {
-        obs: query.obs,
+        query,
         deadline,
         enqueued: Instant::now(),
         reply: reply_tx,
     };
-    if admission.try_push(job).is_err() {
-        shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-        let reply = shed(shared);
-        shared.core.outcome(query.seq, &reply);
-        return reply;
-    }
-    // `Err`: the pipeline dropped the job mid-shutdown unanswered.
-    let reply = reply_rx.recv().unwrap_or(Frame::ShuttingDown);
-    shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    shared.core.outcome(query.seq, &reply);
+    let reply = match admission.try_push(job) {
+        // `Err`: the pipeline dropped the job mid-shutdown unanswered.
+        Ok(()) => reply_rx.recv().unwrap_or(Frame::ShuttingDown),
+        Err(_) => shed(shared),
+    };
+    shared.core.outcome(seq, &reply);
     reply
 }
 
-/// Applies a topology change to the live server: validate and build the
-/// new epoch *outside* all locks, shed-and-drain the localize pipeline,
-/// then commit. In-flight requests finish on the old epoch; requests
-/// admitted after see only the new one.
+/// Applies a topology change to the live server and answers with the
+/// topology the core published. The core builds the new epoch while
+/// serving continues on the old one; requests admitted before the swap
+/// finish on the epoch they hold, requests admitted after see only the
+/// new one, and none is shed.
 fn handle_reconfigure(shared: &Shared, op: TopologyOp) -> Frame {
-    // One administrator at a time; concurrent ops queue here.
-    let _admin = shared.reconfig.lock().expect("reconfig poisoned");
-    // The expensive part, outside every lock: serving continues on the
-    // old epoch while the new engine assembles from cached grids.
-    let next = match shared.core.prepare(&op) {
-        Ok(next) => next,
+    let info = match shared.core.reconfigure(&op) {
+        Ok(info) => info,
         // Refused cleanly: typed error over the wire, epoch untouched,
         // connection stays usable.
         Err(e) => {
@@ -765,13 +742,6 @@ fn handle_reconfigure(shared: &Shared, op: TopologyOp) -> Frame {
             }
         }
     };
-    // Drain: new localizes shed from here on, so in-flight reaches zero.
-    shared.swapping.store(true, Ordering::SeqCst);
-    while shared.in_flight.load(Ordering::SeqCst) > 0 {
-        thread::sleep(Duration::from_micros(50));
-    }
-    shared.core.commit(next);
-    shared.swapping.store(false, Ordering::SeqCst);
     shared.stats.reconfigures.fetch_add(1, Ordering::Relaxed);
     use at_obs::names::SERVE_RECONFIGURES_TOTAL as RECONFIGURES;
     match op {
@@ -779,10 +749,12 @@ fn handle_reconfigure(shared: &Shared, op: TopologyOp) -> Frame {
         TopologyOp::Remove { .. } => at_obs::count!(RECONFIGURES, "op" => "remove"),
         TopologyOp::Move { .. } => at_obs::count!(RECONFIGURES, "op" => "move"),
     }
-    at_obs::global()
-        .gauge(at_obs::names::SERVE_TOPOLOGY_EPOCH, &[])
-        .set(shared.core.epoch() as f64);
-    shared.core.topology()
+    if let Frame::TopologyInfo { epoch, .. } = &info {
+        at_obs::global()
+            .gauge(at_obs::names::SERVE_TOPOLOGY_EPOCH, &[])
+            .set(*epoch as f64);
+    }
+    info
 }
 
 fn expire_deadline(shared: &Shared, job: &Job, now: Instant) -> bool {
@@ -839,7 +811,7 @@ fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
             if expire_deadline(shared, &job, Instant::now()) {
                 continue;
             }
-            let frame = shared.core.fuse(&job.obs, &mut scratch);
+            let frame = job.query.fuse(&mut scratch);
             if matches!(frame, Frame::Fix { .. }) {
                 shared.stats.fixes.fetch_add(1, Ordering::Relaxed);
                 at_obs::count!("at_serve_responses_total", "result" => "fix");

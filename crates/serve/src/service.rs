@@ -1,20 +1,22 @@
 //! The service state machine, driven alike by the networked server and by
 //! journal replay.
 //!
-//! [`ServiceCore`] owns the topology epoch (config, fingerprint, engine),
-//! the keyed [`SessionStore`], the per-AP [`HealthTracker`] and the
-//! optional [`RecordTap`]. Each state change enters through one `&self`
-//! method that journals the event to the tap and applies it under the
-//! epoch lock (read for traffic, write for a commit), so the journal's
-//! record order is the order state changed. The server ([`crate::server`])
-//! wraps the core in sockets, threads, queues and the shed/drain
-//! protocol; `at-replay` feeds a journal's events into a fresh core. Live
+//! [`ServiceCore`] owns the current topology epoch (config, fingerprint,
+//! engine and that epoch's per-AP [`HealthTracker`]), the keyed
+//! [`SessionStore`] and the optional [`RecordTap`]. Each state change
+//! enters through one `&self` method that journals the event to the tap
+//! and applies it under the epoch lock (read for traffic, write for a
+//! reconfiguration), so the journal's record order is the order state
+//! changed. An admitted [`Query`] holds the epoch it was admitted under
+//! and fuses on it, so a reconfiguration never waits for traffic. The
+//! server ([`crate::server`]) wraps the core in sockets, threads and
+//! queues; `at-replay` feeds a journal's events into a fresh core. Live
 //! serving and replay run the same code, so a sequentially recorded
 //! journal replays bit-exactly by construction.
 
 use crate::proto::{ApHealthReport, ClientKey, Frame};
 use crate::store::{KeyedObs, SessionStore};
-use at_config::{ApMapping, ConfigError, SystemConfig, TopologyOp};
+use at_config::{ConfigError, SystemConfig, TopologyOp};
 use at_core::health::HealthTracker;
 use at_core::{
     fuse_with_scratch, AoaSpectrum, FusedObservation, FusionScratch, LocalizationEngine,
@@ -57,14 +59,16 @@ pub trait RecordTap: Send + Sync {
     fn epoch_change(&self, epoch: u64, fingerprint: u64, op: &TopologyOp);
 }
 
-/// One topology epoch's immutable state, swapped whole by
-/// [`ServiceCore::commit`]: within an epoch every fix is computed from
-/// identical state — the bit-exactness unit.
+/// One topology epoch, published whole by [`ServiceCore::reconfigure`]:
+/// the config, its fingerprint and engine, plus the health tracker this
+/// epoch's traffic reports into. A [`Query`] fuses on the epoch it was
+/// admitted under — the bit-exactness unit.
 struct Epoch {
     epoch: u64,
     config: SystemConfig,
     fingerprint: u64,
     engine: LocalizationEngine,
+    health: Mutex<HealthTracker>,
 }
 
 impl Epoch {
@@ -73,8 +77,21 @@ impl Epoch {
         Self {
             epoch,
             fingerprint: config.fingerprint(),
+            health: Mutex::new(HealthTracker::new(config.n_aps())),
             config,
             engine,
+        }
+    }
+
+    fn health(&self) -> MutexGuard<'_, HealthTracker> {
+        self.health.lock().expect("health poisoned")
+    }
+
+    fn info(&self) -> Frame {
+        Frame::TopologyInfo {
+            epoch: self.epoch,
+            fingerprint: self.fingerprint,
+            poses: self.config.poses.clone(),
         }
     }
 
@@ -123,27 +140,15 @@ pub enum SessionRef<'a> {
     Legacy(&'a mut LegacySession),
 }
 
-/// An admitted localize request.
+/// An admitted localize request, pinned to the epoch it was admitted
+/// under.
 pub struct Query {
     /// The spectra to fuse (keyed: ascending AP order, the order the
     /// in-process reference adds them).
     pub obs: Vec<KeyedObs>,
     /// The tap's sequence number, to echo in [`ServiceCore::outcome`].
     pub seq: Option<u64>,
-}
-
-/// A reconfiguration built by [`ServiceCore::prepare`], not yet published.
-pub struct PreparedEpoch {
-    next: Epoch,
-    mapping: ApMapping,
-    op: TopologyOp,
-}
-
-impl PreparedEpoch {
-    /// The new epoch's canonical config fingerprint.
-    pub fn fingerprint(&self) -> u64 {
-        self.next.fingerprint
-    }
+    epoch: Arc<Epoch>,
 }
 
 /// A fusion thread's reusable workspace: the fusion arena and the buffer
@@ -156,8 +161,9 @@ pub struct FuseScratch {
 
 /// The synchronous service state machine. See the module docs.
 pub struct ServiceCore {
-    topo: RwLock<Epoch>,
-    health: Mutex<HealthTracker>,
+    topo: RwLock<Arc<Epoch>>,
+    /// Serializes administrators: one reconfiguration at a time.
+    admin: Mutex<()>,
     store: SessionStore,
     tap: Option<Arc<dyn RecordTap>>,
 }
@@ -167,21 +173,16 @@ impl ServiceCore {
     /// engine, health tracker and store all size from this one config.
     pub fn new(system: SystemConfig, tap: Option<Arc<dyn RecordTap>>) -> Result<Self, ConfigError> {
         system.validate()?;
-        let n_aps = system.n_aps();
         Ok(Self {
-            health: Mutex::new(HealthTracker::new(n_aps)),
-            store: SessionStore::new(n_aps, system.session),
-            topo: RwLock::new(Epoch::build(0, system)),
+            store: SessionStore::new(system.n_aps(), system.session),
+            topo: RwLock::new(Arc::new(Epoch::build(0, system))),
+            admin: Mutex::new(()),
             tap,
         })
     }
 
-    fn topo(&self) -> RwLockReadGuard<'_, Epoch> {
+    fn topo(&self) -> RwLockReadGuard<'_, Arc<Epoch>> {
         self.topo.read().expect("topo poisoned")
-    }
-
-    fn health(&self) -> MutexGuard<'_, HealthTracker> {
-        self.health.lock().expect("health poisoned")
     }
 
     fn journal(&self, record: impl FnOnce(&dyn RecordTap)) {
@@ -202,12 +203,7 @@ impl ServiceCore {
 
     /// The current topology as its [`Frame::TopologyInfo`] answer.
     pub fn topology(&self) -> Frame {
-        let topo = self.topo();
-        Frame::TopologyInfo {
-            epoch: topo.epoch,
-            fingerprint: topo.fingerprint,
-            poses: topo.config.poses.clone(),
-        }
+        self.topo().info()
     }
 
     /// Admits AP `ap_id`'s spectrum, `age` refresh intervals old, into
@@ -225,12 +221,12 @@ impl ServiceCore {
         match session {
             SessionRef::Keyed(key) => {
                 self.journal(|t| t.submit(key, ap_id, age, &spectrum));
-                self.health().report_success(ap);
+                topo.health().report_success(ap);
                 Ok(self.store.submit(key, ap, age, Arc::new(spectrum)))
             }
             SessionRef::Legacy(session) => {
                 session.bind(topo.epoch);
-                self.health().report_success(ap);
+                topo.health().report_success(ap);
                 session.obs.push(KeyedObs {
                     ap_id,
                     age,
@@ -246,7 +242,7 @@ impl ServiceCore {
         let topo = self.topo();
         let ap = topo.ap(ap_id)?;
         self.journal(|t| t.failure(ap_id));
-        self.health().report_failure(ap);
+        topo.health().report_failure(ap);
         Ok(())
     }
 
@@ -276,26 +272,26 @@ impl ServiceCore {
         }
     }
 
-    /// Admits a localize request: the keyed query is journaled and the
-    /// store snapshotted under one epoch read guard. An unknown key
-    /// snapshots empty and fuses into the typed `NoObservations`.
+    /// Admits a localize request: the keyed query is journaled, the store
+    /// snapshotted and the current epoch pinned under one epoch read
+    /// guard. An unknown key snapshots empty and fuses into the typed
+    /// `NoObservations`.
     pub fn query(&self, session: SessionRef<'_>, deadline_ms: u32) -> Query {
         let topo = self.topo();
-        match session {
+        let (obs, seq) = match session {
             SessionRef::Keyed(key) => {
                 let seq = self.tap.as_ref().map(|t| t.query(key, deadline_ms));
-                Query {
-                    obs: self.store.snapshot(key).unwrap_or_default(),
-                    seq,
-                }
+                (self.store.snapshot(key).unwrap_or_default(), seq)
             }
             SessionRef::Legacy(session) => {
                 session.bind(topo.epoch);
-                Query {
-                    obs: session.obs.clone(),
-                    seq: None,
-                }
+                (session.obs.clone(), None)
             }
+        };
+        Query {
+            obs,
+            seq,
+            epoch: Arc::clone(&topo),
         }
     }
 
@@ -306,14 +302,38 @@ impl ServiceCore {
         }
     }
 
-    /// Fuses `obs` on the current epoch under a snapshot of AP health:
+    /// Applies `op` and publishes the next epoch, returning its
+    /// [`Frame::TopologyInfo`]. Administrators are serialized here. The
+    /// op is validated and the engine built outside the epoch lock, so
+    /// traffic keeps flowing; then one exclusive section journals the
+    /// epoch change, remaps the store and a copy of the old epoch's
+    /// health onto the new AP ids, and publishes. Queries admitted before
+    /// the swap still fuse on the epoch they hold.
+    pub fn reconfigure(&self, op: &TopologyOp) -> Result<Frame, ConfigError> {
+        let _admin = self.admin.lock().expect("admin poisoned");
+        let current = Arc::clone(&self.topo());
+        let (config, mapping) = current.config.apply(op)?;
+        let mut next = Epoch::build(current.epoch + 1, config);
+        let mut topo = self.topo.write().expect("topo poisoned");
+        self.journal(|t| t.epoch_change(next.epoch, next.fingerprint, op));
+        self.store.remap(&mapping.old_to_new, mapping.n_new);
+        let health = next.health.get_mut().expect("health poisoned");
+        health.clone_from(&topo.health());
+        health.remap(&mapping.old_to_new, mapping.n_new);
+        *topo = Arc::new(next);
+        Ok(topo.info())
+    }
+}
+
+impl Query {
+    /// Fuses the admitted spectra on the epoch they were admitted under,
+    /// with a snapshot of that epoch's AP health:
     /// [`Frame::Fix`] with the health of every cited AP, or
     /// [`Frame::Failed`] with the typed error `try_localize` returns.
-    pub fn fuse(&self, obs: &[KeyedObs], scratch: &mut FuseScratch) -> Frame {
-        // Engine, policy and health snapshot all under one epoch guard.
-        let topo = self.topo();
-        let policy = topo.config.health;
-        scratch.health.clone_from(&self.health());
+    pub fn fuse(&self, scratch: &mut FuseScratch) -> Frame {
+        let (obs, epoch) = (&self.obs, &*self.epoch);
+        let policy = epoch.config.health;
+        scratch.health.clone_from(&epoch.health());
         let get = |i: usize| FusedObservation {
             pose_idx: obs[i].ap_id as usize,
             spectrum: &obs[i].spectrum,
@@ -321,7 +341,7 @@ impl ServiceCore {
             age: obs[i].age,
         };
         match fuse_with_scratch(
-            &topo.engine,
+            &epoch.engine,
             obs.len(),
             &get,
             &scratch.health,
@@ -351,33 +371,5 @@ impl ServiceCore {
                 }
             }
         }
-    }
-
-    /// Step one of a reconfiguration: validates `op` and builds the next
-    /// epoch's engine outside every lock. Callers serialize `prepare` →
-    /// `commit` pairs.
-    pub fn prepare(&self, op: &TopologyOp) -> Result<PreparedEpoch, ConfigError> {
-        let (config, mapping, epoch) = {
-            let topo = self.topo();
-            let (config, mapping) = topo.config.apply(op)?;
-            (config, mapping, topo.epoch + 1)
-        };
-        Ok(PreparedEpoch {
-            next: Epoch::build(epoch, config),
-            mapping,
-            op: *op,
-        })
-    }
-
-    /// Step two, in one exclusive section: journal the epoch change, remap
-    /// the store and health tracker onto the new AP ids, publish.
-    pub fn commit(&self, prepared: PreparedEpoch) {
-        let PreparedEpoch { next, mapping, op } = prepared;
-        let mut topo = self.topo.write().expect("topo poisoned");
-        assert_eq!(next.epoch, topo.epoch + 1, "interleaved commit");
-        self.journal(|t| t.epoch_change(next.epoch, next.fingerprint, &op));
-        self.store.remap(&mapping.old_to_new, mapping.n_new);
-        self.health().remap(&mapping.old_to_new, mapping.n_new);
-        *topo = next;
     }
 }

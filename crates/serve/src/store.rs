@@ -323,11 +323,13 @@ impl SessionStore {
     /// session (never submitted, or evicted). Counts as a touch for
     /// idle/eviction purposes.
     pub fn snapshot(&self, key: ClientKey) -> Option<Vec<KeyedObs>> {
-        let tick = self.tick.load(Ordering::Acquire);
         let seq = self.next_seq();
         let mut shard = self.shards[self.shard_of(key)]
             .lock()
             .expect("shard poisoned");
+        // Read under the shard lock: `submit` reads its tick before taking
+        // the lock, so every slot seen here has `tick0 <= tick`.
+        let tick = self.tick.load(Ordering::Acquire);
         let session = shard.sessions.get_mut(&key)?;
         session.seq = seq;
         session.last_touch = Instant::now();
@@ -339,7 +341,9 @@ impl SessionStore {
                 .filter_map(|(ap, slot)| {
                     slot.as_ref().map(|s| KeyedObs {
                         ap_id: ap as u32,
-                        age: s.age0 + (tick - s.tick0),
+                        // The submitted age comes off the wire: saturate,
+                        // so a huge one stays stale instead of wrapping.
+                        age: s.age0.saturating_add(tick - s.tick0),
                         spectrum: Arc::clone(&s.spectrum),
                     })
                 })
@@ -604,6 +608,14 @@ mod tests {
         let snap = store.snapshot(1).expect("resident");
         assert_eq!(snap[0].age, 1 + 3); // age0 1, submitted at tick 0, now 3
         assert_eq!(snap[1].age, 1); // age0 0, submitted at tick 2, now 3
+    }
+
+    #[test]
+    fn a_huge_submitted_age_saturates_instead_of_wrapping() {
+        let store = SessionStore::new(2, policy(100));
+        store.submit(1, 0, u64::MAX, spectrum(0.5));
+        store.advance_tick();
+        assert_eq!(store.snapshot(1).expect("resident")[0].age, u64::MAX);
     }
 
     #[test]

@@ -9,12 +9,17 @@
 //! every round actually overlaps, then assert that every observed
 //! spectrum is one of the two well-formed generations — any in-place
 //! mutation scheme fails this in a handful of rounds.
+//!
+//! The staleness tick is the other shared input a snapshot reads; a
+//! tick-and-submit pair racing a snapshot must never age a spectrum
+//! below zero.
 
 use at_core::AoaSpectrum;
 use at_serve::{SessionPolicy, SessionStore};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BINS: usize = 256;
 const ROUNDS: usize = 200;
@@ -137,4 +142,44 @@ fn writers_on_different_aps_of_one_key_interleave_safely() {
     assert_eq!(snap.len(), 2, "both AP slots resident");
     assert_eq!(snap[0].ap_id, 0);
     assert_eq!(snap[1].ap_id, 1);
+}
+
+#[test]
+fn a_tick_and_submit_racing_a_snapshot_never_underflow_an_age() {
+    // A reaper tick followed by a submit to the same key can land between
+    // a snapshot's tick read and its shard lock if the snapshot reads the
+    // tick first: the slot is then newer than the snapshot's tick.
+    let store = Arc::new(store());
+    let spectrum = generation_spectrum(0);
+    store.submit(1, 0, 0, Arc::clone(&spectrum));
+    let stop = Arc::new(AtomicBool::new(false));
+    let ticker = {
+        let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                store.advance_tick();
+            }
+        })
+    };
+    let submitter = {
+        let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+        thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                store.submit(1, 0, 0, Arc::clone(&spectrum));
+            }
+        })
+    };
+    let until = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < until {
+        let snap = store.snapshot(1).expect("resident");
+        // Submitted at age 0: the age is the ticks since the submit.
+        assert!(
+            snap[0].age < u64::MAX / 2,
+            "age underflowed: {}",
+            snap[0].age
+        );
+    }
+    stop.store(true, Ordering::Relaxed);
+    ticker.join().expect("ticker");
+    submitter.join().expect("submitter");
 }

@@ -46,7 +46,6 @@ fn base_config(n_aps: usize) -> SystemConfig {
             max_resident_spectra: 64,
             ..SessionPolicy::default()
         },
-        codec: Default::default(),
     }
 }
 

@@ -363,8 +363,7 @@ fn service_core_replays_its_own_journal_bit_exactly() {
             _ => None,
         };
         if let Some(op) = op {
-            let next = core.prepare(&op).expect("op applies");
-            core.commit(next);
+            core.reconfigure(&op).expect("op applies");
             poses = core_poses(&core);
             continue;
         }
@@ -391,7 +390,7 @@ fn service_core_replays_its_own_journal_bit_exactly() {
         } else {
             let key = if roll < 80 { 9 } else { key };
             let query = core.query(SessionRef::Keyed(key), 0);
-            let reply = core.fuse(&query.obs, &mut fuse);
+            let reply = query.fuse(&mut fuse);
             core.outcome(query.seq, &reply);
             queries += 1;
             match reply {

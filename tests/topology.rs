@@ -16,6 +16,11 @@
 //!   and leave the epoch untouched; submits to a departed id are
 //!   refused with `BAD_AP`; a cold joiner that hasn't warmed yet yields
 //!   `QuorumNotMet`, not a guess and not a crash.
+//! - **Epoch pinning**: a localize admitted before a reconfiguration
+//!   fuses on the epoch it was admitted under — its poses and its AP
+//!   health as they were at the swap — while one admitted after sees
+//!   only the new epoch; and a storm of single-attempt clients runs
+//!   through every swap without one request shed.
 //! - **Stale v1 sessions**: a legacy per-connection session is bound to
 //!   the epoch of its first spectrum; after a remove or a move its
 //!   localize is the typed `NoObservations`, and the server keeps serving
@@ -26,12 +31,12 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use arraytrack::channel::geometry::{angle_diff, pt, Point};
 use arraytrack::config::TopologyOp;
-use arraytrack::core::health::{HealthPolicy, LocalizeError};
+use arraytrack::core::health::{ApStatus, HealthPolicy, LocalizeError};
 use arraytrack::core::synthesis::{ApPose, SearchRegion};
 use arraytrack::core::{AoaSpectrum, ArrayTrackServer};
 use arraytrack::serve::{
-    ApClient, AppClient, Client, ClientConfig, ClientError, ServeConfig, ServiceConfig,
-    SessionPolicy,
+    ApClient, ApHealthReport, AppClient, Client, ClientConfig, ClientError, Frame, FuseScratch,
+    ServeConfig, ServiceConfig, ServiceCore, SessionPolicy, SessionRef,
 };
 use std::time::Duration;
 
@@ -109,8 +114,10 @@ fn lobe(pose: ApPose, target: Point) -> AoaSpectrum {
 
 /// Spawns `n` storm threads, each streaming keyed submits to `storm_aps`
 /// and localizing its own key in a tight loop until `stop` is raised.
-/// Joining the handles asserts the storm saw zero panics and zero
-/// client-visible errors across every epoch swap.
+/// Each client makes a single attempt per call, so a localize shed during
+/// an epoch swap is an error, not a retry. Joining the handles asserts
+/// the storm saw zero panics and zero client-visible errors across every
+/// epoch swap.
 fn spawn_storm(
     addr: std::net::SocketAddr,
     service: &ServiceConfig,
@@ -128,8 +135,12 @@ fn spawn_storm(
             std::thread::spawn(move || {
                 let key = 200 + i as u64;
                 let target = pt(4.0 + 3.0 * i as f64, 3.0 + i as f64);
-                let mut ap = ApClient::connect(addr, ClientConfig::default()).expect("storm ap");
-                let mut app = AppClient::connect(addr, ClientConfig::default()).expect("storm app");
+                let once = ClientConfig {
+                    max_attempts: 1,
+                    ..ClientConfig::default()
+                };
+                let mut ap = ApClient::connect(addr, once).expect("storm ap");
+                let mut app = AppClient::connect(addr, once).expect("storm app");
                 while !stop.load(Ordering::Relaxed) {
                     for &id in &storm_aps {
                         ap.submit(key, id as u32, 0, &lobe(poses[id], target))
@@ -220,7 +231,7 @@ fn ap_departure_mid_storm_keeps_surviving_quorum_bit_exact() {
     for h in storm {
         h.join().expect("storm thread panicked");
     }
-    server.shutdown();
+    assert_eq!(server.shutdown().shed, 0, "a reconfiguration shed traffic");
 }
 
 #[test]
@@ -348,7 +359,70 @@ fn remove_move_readd_under_storm_refuses_bad_ops_and_cold_joiner_typed() {
     }
     let made = fixes.load(Ordering::Relaxed);
     assert!(made >= 5, "storm made {made} fixes");
-    server.shutdown();
+    assert_eq!(server.shutdown().shed, 0, "a reconfiguration shed traffic");
+}
+
+/// Asserts `reply` is the fix `reference` computes, bit for bit, and
+/// returns the health it reported.
+fn same_fix(reply: Frame, reference: &ArrayTrackServer) -> Vec<ApHealthReport> {
+    let expected = reference.try_localize().expect("reference fix");
+    let Frame::Fix {
+        x,
+        y,
+        likelihood,
+        health,
+    } = reply
+    else {
+        panic!("wanted a fix, got {reply:?}");
+    };
+    assert_eq!(x.to_bits(), expected.position.x.to_bits());
+    assert_eq!(y.to_bits(), expected.position.y.to_bits());
+    assert_eq!(likelihood.to_bits(), expected.likelihood.to_bits());
+    health
+}
+
+#[test]
+fn a_query_fuses_on_the_epoch_it_was_admitted_under() {
+    let service = service();
+    let core = ServiceCore::new(service.to_system(session_policy()), None).expect("core");
+    let target = pt(7.5, 4.5);
+    let spectra: Vec<AoaSpectrum> = service.poses.iter().map(|&p| lobe(p, target)).collect();
+    for (id, s) in spectra.iter().enumerate() {
+        core.submit(SessionRef::Keyed(1), id as u32, 0, s.clone())
+            .expect("submit");
+    }
+    let before = core.query(SessionRef::Keyed(1), 0);
+
+    // AP 3 departs, then AP 0 fails until the new epoch holds it down.
+    core.reconfigure(&TopologyOp::Remove { ap_id: 3 })
+        .expect("remove");
+    for _ in 0..service.policy.down_after {
+        core.failure(0).expect("AP 0 survives the removal");
+    }
+    let after = core.query(SessionRef::Keyed(1), 0);
+    let mut scratch = FuseScratch::default();
+
+    // The query admitted before the swap fuses all four old poses, with
+    // the health it had at the swap: AP 0 healthy.
+    let mut old = ArrayTrackServer::new(service.region).with_policy(service.policy);
+    for (id, s) in spectra.iter().enumerate() {
+        old.add_observation_from(id, service.poses[id], s.clone(), 0);
+    }
+    let health = same_fix(before.fuse(&mut scratch), &old);
+    assert_eq!(health.len(), 4);
+    assert_eq!(health[0].status, ApStatus::Healthy);
+
+    // The query admitted after sees three poses and AP 0 down.
+    let mut new = ArrayTrackServer::new(service.region).with_policy(service.policy);
+    for (id, s) in spectra.iter().enumerate().take(3) {
+        new.add_observation_from(id, service.poses[id], s.clone(), 0);
+    }
+    for _ in 0..service.policy.down_after {
+        new.report_acquisition_failure(0);
+    }
+    let health = same_fix(after.fuse(&mut scratch), &new);
+    assert_eq!(health.len(), 3);
+    assert_eq!(health[0].status, ApStatus::Down);
 }
 
 #[test]
