@@ -13,7 +13,9 @@
 //!   tiny workload (3 clients, 50 cm grid) whose observed stage budget
 //!   must stay within `SMOKE_TOLERANCE`× of the committed baseline.
 //!   `AT_SMOKE_INJECT_MS` inflates the observed stages — the hook the CI
-//!   self-test uses to prove the gate actually fails on a regression.
+//!   self-test uses to prove the gate actually fails on a regression. Its
+//!   metrics snapshot is host timing, not a result, so it goes to the
+//!   untracked `target/smoke_metrics.{prom,json}`.
 
 use crate::report::{f3, Report};
 use at_core::pipeline::{process_frame, ApPipelineConfig};
@@ -27,6 +29,7 @@ use at_testbed::Deployment;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 /// Rounds of the 41-client query sweep (41 x 3 = 123 queries per path,
@@ -35,6 +38,10 @@ const ROUNDS: usize = 3;
 
 /// Where the committed JSON baseline lives (repo root).
 const BASELINE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PERF.json");
+
+/// Where the smoke gate's metrics snapshot goes: the repo's build
+/// directory, which git ignores.
+const SMOKE_SNAPSHOT_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
 
 /// Smoke gate: observed stage p50 must be `<= baseline * SMOKE_TOLERANCE +
 /// SMOKE_SLACK_MS`. Generous on purpose — the gate exists to catch real
@@ -75,11 +82,16 @@ fn exercise_detector(reps: usize) {
     }
 }
 
-/// Writes the full metrics snapshot next to the other experiment outputs,
-/// in both export formats.
-fn write_snapshot(report: &Report, name: &str, snap: &MetricsSnapshot) -> std::io::Result<()> {
+/// Writes the full metrics snapshot into `dir`, in both export formats.
+fn write_snapshot(
+    report: &Report,
+    dir: &Path,
+    name: &str,
+    snap: &MetricsSnapshot,
+) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
     for (ext, body) in [("prom", snap.to_prometheus()), ("json", snap.to_json())] {
-        let path = report.dir().join(format!("{name}.{ext}"));
+        let path = dir.join(format!("{name}.{ext}"));
         std::fs::write(&path, body)?;
         report.line(format!("  -> wrote {}", path.display()));
     }
@@ -204,7 +216,7 @@ pub fn run() -> std::io::Result<()> {
     let snap = at_obs::global().snapshot();
     let budget =
         LatencyBudget::from_snapshot(&snap).expect("detect/spectrum/fusion stages all ran above");
-    write_snapshot(&report, "perf_metrics", &snap)?;
+    write_snapshot(&report, report.dir(), "perf_metrics", &snap)?;
 
     let rows = vec![
         vec!["MUSIC per frame p50".into(), f3(music_p50)],
@@ -280,7 +292,12 @@ pub fn run_smoke() -> std::io::Result<()> {
     let snap = at_obs::global().snapshot();
     let mut observed =
         LatencyBudget::from_snapshot(&snap).expect("smoke workload ran every gated stage");
-    write_snapshot(&report, "smoke_metrics", &snap)?;
+    write_snapshot(
+        &report,
+        Path::new(SMOKE_SNAPSHOT_DIR),
+        "smoke_metrics",
+        &snap,
+    )?;
 
     // Regression-injection hook for the gate's own CI self-test.
     if let Ok(inject) = std::env::var("AT_SMOKE_INJECT_MS") {

@@ -18,10 +18,20 @@
 //!   each block the engine precomputes the (circular) interval of spectrum
 //!   bins its cells subtend per AP, dilated by one bin so the interval max
 //!   also bounds the *interpolated* likelihood anywhere in the block.
-//!   Queries score blocks by that upper bound and refine best-first,
-//!   stopping as soon as no unrefined block can beat the current top cells
-//!   — a branch-and-bound that inspects a few percent of the grid yet
-//!   finds the same top cells as the exhaustive scan.
+//!   Each query builds a circular sparse range-max table per LUT
+//!   (⌊log₂ bins⌋ + 1 levels), so a block's per-AP bound costs two
+//!   lookups instead of a scan over its interval; `max` is exact, so the
+//!   bounds are bit-identical to that scan.
+//! - **A total visit order** — blocks pop lazily from a binary heap in
+//!   (bound descending, block index ascending) order, and cells rank by
+//!   (quantized score descending, cell index ascending). The search stops
+//!   once the best unvisited bound falls strictly below the worst kept
+//!   cell, so a block that could hold a tied cell is still opened. A
+//!   cell's score sums the same per-AP terms in the same order as its
+//!   block's bound, each no larger, and rounded addition is monotone, so
+//!   the kept cells are exactly the exhaustive scan's top cells under
+//!   that order: the answer depends on the data alone, not on how a sort
+//!   breaks ties. The branch-and-bound inspects a few percent of the grid.
 //!
 //! The selected top cells are re-evaluated with the *exact* interpolated
 //! likelihood and refined with the same hill climb as the legacy path, so
@@ -33,7 +43,8 @@
 //! Memory: one `u16` per cell per AP — ≈ 1.4 MB for six APs over the
 //! 41 m × 23 m office at 10 cm — plus four bytes per 50 cm block per AP.
 //! The caches depend only on (poses, region, bins): rebuild on deployment
-//! change, never per query.
+//! change, never per query. A query's scratch adds one range-max table,
+//! ≈ 58 KB at 720 bins, refilled for each observation in turn.
 
 use crate::parallel::{available_threads, parallel_map};
 use crate::spectrum::AoaSpectrum;
@@ -43,7 +54,8 @@ use crate::synthesis::{
 };
 use at_channel::geometry::Point;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, HashMap};
 use std::f64::consts::TAU;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -193,6 +205,38 @@ fn coarse_stride(region: &SearchRegion) -> usize {
     ((COARSE_BLOCK_M / region.resolution).round() as usize).clamp(1, 256)
 }
 
+/// A coarse block or a fine cell with its quantized log-likelihood score
+/// (a block's is its upper bound). The order is total, so the search's
+/// answer depends on the data alone: a higher score ranks higher, and
+/// among equal scores the lower index does.
+#[derive(Clone, Copy, Debug)]
+struct Ranked {
+    score: f64,
+    index: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then(other.index.cmp(&self.index))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
 /// Gauge name: heap bytes retained by localize scratch arenas (set when an
 /// arena grows; steady-state queries never touch it).
 pub(crate) const SCRATCH_BYTES_GAUGE: &str = "at_localize_scratch_bytes";
@@ -204,11 +248,11 @@ pub(crate) const SCRATCH_GROW_COUNTER: &str = "at_localize_scratch_grow_total";
 /// A reusable per-worker workspace for engine queries.
 ///
 /// Everything a query needs to allocate — normalized spectrum copies for
-/// exact re-evaluation, flat log-likelihood LUTs, block bounds, the
-/// best-first ordering, the candidate heap, and the planar row
-/// accumulator — lives here and is recycled between queries. After the
-/// first query of a given shape (observation count × spectrum bins), a
-/// repeat query performs **zero** heap allocations (the
+/// exact re-evaluation, flat log-likelihood LUTs, a range-max table,
+/// block bounds, the best-first block heap, the kept cells, and the
+/// planar row accumulator — lives here and is recycled between queries.
+/// After the first query of a given shape (observation count × spectrum
+/// bins), a repeat query performs **zero** heap allocations (the
 /// `zero_alloc` integration test pins this down with a counting
 /// allocator).
 ///
@@ -227,12 +271,15 @@ pub struct LocalizeScratch {
     luts: Vec<f64>,
     /// AP index of each LUT row.
     lut_aps: Vec<usize>,
+    /// The circular range-max table of the LUT row being bounded,
+    /// `levels × bins` (see [`fill_range_max`]).
+    sparse: Vec<f64>,
     /// Per coarse block: accumulated likelihood upper bound.
     bounds: Vec<f64>,
-    /// Blocks ordered by bound, best first.
-    order: Vec<(f64, usize)>,
-    /// Current top cells, ascending by quantized score.
-    top: Vec<(f64, usize)>,
+    /// Unvisited blocks by bound, best first.
+    heap: BinaryHeap<Ranked>,
+    /// Current top cells by quantized score, ascending (worst first).
+    top: Vec<Ranked>,
     /// Exact re-evaluated candidates, descending by likelihood.
     cells: Vec<(Point, f64)>,
     /// One block row of AP-major planar accumulation.
@@ -258,9 +305,10 @@ impl LocalizeScratch {
             + self.exact.capacity() * std::mem::size_of::<ApObservation>()
             + self.luts.capacity() * std::mem::size_of::<f64>()
             + self.lut_aps.capacity() * std::mem::size_of::<usize>()
+            + self.sparse.capacity() * std::mem::size_of::<f64>()
             + self.bounds.capacity() * std::mem::size_of::<f64>()
-            + self.order.capacity() * std::mem::size_of::<(f64, usize)>()
-            + self.top.capacity() * std::mem::size_of::<(f64, usize)>()
+            + self.heap.capacity() * std::mem::size_of::<Ranked>()
+            + self.top.capacity() * std::mem::size_of::<Ranked>()
             + self.cells.capacity() * std::mem::size_of::<(Point, f64)>()
             + self.row_acc.capacity() * std::mem::size_of::<f64>()
     }
@@ -591,8 +639,9 @@ impl LocalizationEngine {
             exact,
             luts,
             lut_aps,
+            sparse,
             bounds,
-            order,
+            heap,
             top,
             cells,
             row_acc,
@@ -600,55 +649,51 @@ impl LocalizationEngine {
         } = scratch;
 
         // Upper-bound every coarse block, AP-major: each observation adds
-        // its dilated-interval max into the per-block accumulator, walking
-        // its own contiguous interval slab. The per-block sum order is the
-        // observation order, so bounds are bit-identical to the previous
-        // cell-major fold.
+        // its dilated-interval max into the per-block accumulator, read in
+        // O(1) from the observation's range-max table. The per-block sum
+        // order is the observation order, and `max` is exact, so bounds are
+        // bit-identical to a serial max over every covered bin.
+        sparse.resize(range_max_levels(bins) * bins, 0.0);
         bounds.clear();
         bounds.resize(nblocks, 0.0);
         for (j, &ap) in lut_aps.iter().enumerate() {
-            let lut = &luts[j * bins..(j + 1) * bins];
+            fill_range_max(&luts[j * bins..(j + 1) * bins], sparse);
             let intervals = &self.blocks[ap * nblocks..(ap + 1) * nblocks];
             for (acc, &(start, len)) in bounds.iter_mut().zip(intervals) {
-                let (start, len) = (start as usize, len as usize);
-                // A circular interval is at most two contiguous runs; max
-                // is order-independent, so splitting keeps bounds
-                // bit-identical while the scan stays branch-free and
-                // vectorizable (no per-element modulo).
-                let mut m = f64::NEG_INFINITY;
-                let end = start + len;
-                if end <= bins {
-                    for &v in &lut[start..end] {
-                        m = m.max(v);
-                    }
-                } else {
-                    for &v in &lut[start..bins] {
-                        m = m.max(v);
-                    }
-                    for &v in &lut[..end - bins] {
-                        m = m.max(v);
-                    }
-                }
-                *acc += m;
+                *acc += range_max(sparse, bins, start as usize, len as usize);
             }
         }
 
-        // Score order: best bound first.
-        order.clear();
-        order.extend(bounds.iter().enumerate().map(|(b, &s)| (s, b)));
-        order.sort_unstable_by(|a, b| b.0.partial_cmp(&a.0).expect("finite bounds"));
+        // Visit blocks lazily from a heap, best first in the total order
+        // (bound descending, block index ascending), so the visit never
+        // depends on how a sort breaks ties. `clear` + `extend` into the
+        // empty heap is one O(n) rebuild.
+        heap.clear();
+        heap.extend(
+            bounds
+                .iter()
+                .enumerate()
+                .map(|(b, &score)| Ranked { score, index: b }),
+        );
 
         // Refine best-first: expand blocks into fine cells until no
-        // unrefined block's bound can beat the current `keep`-th cell.
-        // Each block row is scored by AP-major planar accumulation over
-        // the contiguous `fine` row segments (log-domain adds into one
-        // cache-resident row accumulator).
+        // unrefined block can hold a cell ranked above the current
+        // `keep`-th. A block whose bound equals that cell's score may still
+        // hold a tied cell with a lower index, so it is opened too. Each
+        // block row is scored by AP-major planar accumulation over the
+        // contiguous `fine` row segments (log-domain adds into one
+        // cache-resident row accumulator), summing the same per-AP terms in
+        // the same order as the block's bound, so no cell exceeds it.
         if row_acc.len() < self.stride {
             row_acc.resize(self.stride, 0.0);
         }
         top.clear();
-        for &(bound, b) in order.iter() {
-            if top.len() == keep && bound <= top[0].0 {
+        while let Some(Ranked {
+            score: bound,
+            index: b,
+        }) = heap.pop()
+        {
+            if top.len() == keep && bound < top[0].score {
                 break;
             }
             let (bxi, byi) = (b % self.bx, b / self.bx);
@@ -667,15 +712,23 @@ impl LocalizationEngine {
                         *a += lut[bin as usize];
                     }
                 }
-                for (dx, &s) in acc.iter().enumerate() {
-                    let cell = iy * self.nx + x0 + dx;
+                for (dx, &score) in acc.iter().enumerate() {
+                    let cell = Ranked {
+                        score,
+                        index: iy * self.nx + x0 + dx,
+                    };
+                    // `top` stays ascending, worst first.
                     if top.len() < keep {
-                        top.push((s, cell));
-                        top.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-                    } else if s > top[0].0 {
-                        top[0] = (s, cell);
+                        top.push(cell);
+                        let mut i = top.len() - 1;
+                        while i > 0 && top[i] < top[i - 1] {
+                            top.swap(i, i - 1);
+                            i -= 1;
+                        }
+                    } else if cell > top[0] {
+                        top[0] = cell;
                         let mut i = 0;
-                        while i + 1 < top.len() && top[i].0 > top[i + 1].0 {
+                        while i + 1 < top.len() && top[i] > top[i + 1] {
                             top.swap(i, i + 1);
                             i += 1;
                         }
@@ -684,11 +737,11 @@ impl LocalizationEngine {
             }
         }
 
-        // Exact re-evaluation of the survivors, then the final ordering: a
-        // stable insertion sort, descending — the same permutation as the
-        // stable `sort_by` it replaces, without its merge buffer.
+        // Exact re-evaluation of the survivors, best ranked first, then the
+        // final ordering: a stable insertion sort, descending, so cells
+        // whose exact likelihoods tie keep their quantized rank.
         cells.clear();
-        for &(_, cell) in top.iter() {
+        for &Ranked { index: cell, .. } in top.iter().rev() {
             let p = self.region.cell_center(cell % self.nx, cell / self.nx);
             cells.push((p, likelihood(&exact[..n], p)));
         }
@@ -701,6 +754,56 @@ impl LocalizationEngine {
         }
         cells.truncate(k);
     }
+}
+
+/// Levels of a circular range-max table over `bins` bins: one per power
+/// of two up to `bins`, i.e. ⌊log₂ bins⌋ + 1.
+fn range_max_levels(bins: usize) -> usize {
+    bins.ilog2() as usize + 1
+}
+
+/// Fills `table` (`levels × bins`, row-major) with the circular sparse
+/// range-max table of `lut`: `table[k·bins + i]` is the max of the `2ᵏ`
+/// bins starting at `i`, wrapping past the last bin. Level 0 is the LUT
+/// itself; each level folds two halves of the one below.
+fn fill_range_max(lut: &[f64], table: &mut [f64]) {
+    let bins = lut.len();
+    table[..bins].copy_from_slice(lut);
+    for k in 1..range_max_levels(bins) {
+        let half = 1 << (k - 1);
+        let (below, level) = table[(k - 1) * bins..(k + 1) * bins].split_at_mut(bins);
+        // Two runs instead of a per-bin modulo: the second wraps.
+        for ((m, &a), &b) in level
+            .iter_mut()
+            .zip(&below[..bins - half])
+            .zip(&below[half..])
+        {
+            *m = a.max(b);
+        }
+        for ((m, &a), &b) in level[bins - half..]
+            .iter_mut()
+            .zip(&below[bins - half..])
+            .zip(&below[..half])
+        {
+            *m = a.max(b);
+        }
+    }
+}
+
+/// The max over the circular bin interval `(start, len)` from a table
+/// built by [`fill_range_max`]: the two (overlapping) power-of-two spans
+/// that cover it. `-∞` for an empty interval, like a max over no bins.
+fn range_max(table: &[f64], bins: usize, start: usize, len: usize) -> f64 {
+    if len == 0 {
+        return f64::NEG_INFINITY;
+    }
+    let k = len.ilog2() as usize;
+    let level = &table[k * bins..(k + 1) * bins];
+    let mut tail = start + len - (1 << k);
+    if tail >= bins {
+        tail -= bins;
+    }
+    level[start].max(level[tail])
 }
 
 /// The minimal circular interval (over `bins` bins) covering every value in
@@ -743,6 +846,8 @@ mod tests {
     use super::*;
     use crate::synthesis::{heatmap, localize};
     use at_channel::geometry::{angle_diff, pt, Point};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     /// An epoch rebuild that keeps `k` APs pays only for the changed
     /// ones: the process-wide grid cache serves the unchanged APs, and
@@ -946,6 +1051,207 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The serial max over every bin of a circular interval: the loop the
+    /// range-max table replaced, kept as its oracle.
+    fn serial_range_max(lut: &[f64], start: usize, len: usize) -> f64 {
+        let bins = lut.len();
+        let mut m = f64::NEG_INFINITY;
+        let end = start + len;
+        if end <= bins {
+            for &v in &lut[start..end] {
+                m = m.max(v);
+            }
+        } else {
+            for &v in &lut[start..bins] {
+                m = m.max(v);
+            }
+            for &v in &lut[..end - bins] {
+                m = m.max(v);
+            }
+        }
+        m
+    }
+
+    /// Checks the table against the serial max at every `(start, len)`,
+    /// wrapping intervals, `len == bins`, `len == 1` and `len == 0`
+    /// included.
+    fn assert_range_max_matches_serial(lut: &[f64]) {
+        let bins = lut.len();
+        let mut table = vec![0.0; range_max_levels(bins) * bins];
+        fill_range_max(lut, &mut table);
+        for start in 0..bins {
+            for len in 0..=bins {
+                assert_eq!(
+                    range_max(&table, bins, start, len).to_bits(),
+                    serial_range_max(lut, start, len).to_bits(),
+                    "bins {bins}, start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Over random LUTs (log-floored like the engine's, with repeated
+        /// peaks so maxima tie), the table's range max is the serial max
+        /// bit for bit.
+        #[test]
+        fn range_max_table_matches_the_serial_max(
+            values in vec(0.0f64..1.0, 8..160),
+            peaks in vec((0usize..160, 0.5f64..1.0), 0..6),
+        ) {
+            let mut values = values;
+            for &(at, v) in &peaks {
+                let n = values.len();
+                values[at % n] = v;
+                values[(at * 7 + 3) % n] = v;
+            }
+            let lut: Vec<f64> = values.iter().map(|&v| v.max(LIKELIHOOD_FLOOR).ln()).collect();
+            assert_range_max_matches_serial(&lut);
+        }
+    }
+
+    /// The engine's own resolution, on a real spectrum's LUT: 720 bins
+    /// are not a power of two, so the top level's two spans overlap.
+    #[test]
+    fn range_max_table_matches_the_serial_max_at_720_bins() {
+        let spectrum = lobe(1.3, 0.08);
+        let max = spectrum.max_value();
+        let lut: Vec<f64> = spectrum
+            .values()
+            .iter()
+            .map(|&v| (v / max).max(LIKELIHOOD_FLOOR).ln())
+            .collect();
+        assert_range_max_matches_serial(&lut);
+    }
+
+    /// The exhaustive reference for the engine's search: every cell's
+    /// quantized score (the same per-AP sum), ranked by (score descending,
+    /// cell index ascending); the best `keep` re-evaluated exactly and
+    /// stably sorted by exact likelihood, descending; truncated to `k`.
+    /// Returns every cell ranked, best first, and the candidates.
+    fn exhaustive_search(
+        engine: &LocalizationEngine,
+        obs: &[(usize, &AoaSpectrum)],
+        k: usize,
+    ) -> (Vec<Ranked>, Vec<(Point, f64)>) {
+        let mut scratch = LocalizeScratch::new();
+        let get = |i: usize| obs[i];
+        engine.fill_exact(obs.len(), &get, &mut scratch);
+        engine.fill_luts(obs.len(), &get, &mut scratch);
+        let (bins, ncells) = (engine.bins, engine.nx * engine.ny);
+        let mut ranked: Vec<Ranked> = (0..ncells)
+            .map(|cell| {
+                let mut score = 0.0;
+                for (j, &ap) in scratch.lut_aps.iter().enumerate() {
+                    score += scratch.luts[j * bins + engine.fine[ap * ncells + cell] as usize];
+                }
+                Ranked { score, index: cell }
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.cmp(a));
+        let keep = CANDIDATE_CELLS.max(k).min(ncells);
+        let mut cells: Vec<(Point, f64)> = ranked[..keep]
+            .iter()
+            .map(|r| {
+                let p = engine
+                    .region
+                    .cell_center(r.index % engine.nx, r.index / engine.nx);
+                (p, likelihood(&scratch.exact[..obs.len()], p))
+            })
+            .collect();
+        cells.sort_by(|a, b| b.1.total_cmp(&a.1));
+        cells.truncate(k);
+        (ranked, cells)
+    }
+
+    /// The engine's kept cells and candidates equal the exhaustive
+    /// reference bit for bit; returns how many cells tie the `keep`-th
+    /// quantized score.
+    fn assert_search_matches_exhaustive(
+        engine: &LocalizationEngine,
+        obs: &[(usize, &AoaSpectrum)],
+        k: usize,
+    ) -> usize {
+        let (ranked, reference) = exhaustive_search(engine, obs, k);
+        let keep = CANDIDATE_CELLS.max(k).min(ranked.len());
+        let mut scratch = LocalizeScratch::new();
+        let get = |i: usize| obs[i];
+        engine.fill_exact(obs.len(), &get, &mut scratch);
+        engine.search_core(obs.len(), &get, k, &mut scratch);
+        let kept: Vec<(u64, usize)> = scratch
+            .top
+            .iter()
+            .rev()
+            .map(|r| (r.score.to_bits(), r.index))
+            .collect();
+        let want: Vec<(u64, usize)> = ranked[..keep]
+            .iter()
+            .map(|r| (r.score.to_bits(), r.index))
+            .collect();
+        assert_eq!(kept, want, "kept cells differ from the exhaustive ranking");
+        let bits = |c: &[(Point, f64)]| {
+            c.iter()
+                .map(|(p, l)| (p.x.to_bits(), p.y.to_bits(), l.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            bits(&engine.top_candidates(obs, k)),
+            bits(&reference),
+            "top_candidates differ from the exhaustive reference"
+        );
+        let cutoff = ranked[keep - 1].score;
+        ranked.iter().filter(|r| r.score == cutoff).count()
+    }
+
+    /// One AP: every cell along the bearing ray falls in the peak bin and
+    /// ties exactly, so only the cell-index tie-break decides which of
+    /// them the search keeps.
+    #[test]
+    fn one_ap_ties_resolve_by_cell_index_like_an_exhaustive_scan() {
+        let (poses, spectra, region) = fixture(pt(7.0, 5.0));
+        let engine = LocalizationEngine::new(&poses, region, 720);
+        for (ap, spectrum) in spectra.iter().enumerate() {
+            for k in [1, 3, CANDIDATE_CELLS + 4] {
+                let ties = assert_search_matches_exhaustive(&engine, &[(ap, spectrum)], k);
+                assert!(
+                    ties > CANDIDATE_CELLS.max(k),
+                    "AP {ap}: only {ties} cells tie the cutoff"
+                );
+            }
+        }
+    }
+
+    /// Two APs mirrored about the region's horizontal midline, each
+    /// hearing the mirror image of the other's spectrum.
+    #[test]
+    fn mirror_symmetric_two_ap_query_matches_an_exhaustive_scan() {
+        let region = SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0));
+        let poses = [
+            ApPose {
+                center: pt(0.0, 0.0),
+                axis_angle: 0.0,
+            },
+            ApPose {
+                center: pt(0.0, 8.0),
+                axis_angle: 0.0,
+            },
+        ];
+        let engine = LocalizationEngine::new(&poses, region, 720);
+        let target = pt(6.0, 4.0);
+        let theta = poses[0].bearing_to(target);
+        let up = AoaSpectrum::from_fn(720, |t| {
+            (-(angle_diff(t, theta) / 0.1).powi(2)).exp() + 1e-5
+        });
+        let down = AoaSpectrum::from_fn(720, |t| {
+            (-(angle_diff(t, TAU - theta) / 0.1).powi(2)).exp() + 1e-5
+        });
+        for k in [1, 3, CANDIDATE_CELLS + 4] {
+            assert_search_matches_exhaustive(&engine, &[(0, &up), (1, &down)], k);
         }
     }
 

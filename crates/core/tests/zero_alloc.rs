@@ -6,7 +6,10 @@
 //! the engine's per-thread [`at_core::LocalizeScratch`], the pipeline's
 //! fusion scratch, the obs layer's per-site metric handles — has grown to
 //! the query shape, then ten more queries must leave the counter exactly
-//! where it was.
+//! where it was. A warm 1-AP `localize_with` on an explicit
+//! [`at_core::LocalizeScratch`] is held to the same bar: its bearing ray
+//! ties every cell along it, so it pops the most blocks from the visit
+//! heap.
 //!
 //! Kept to a single `#[test]` on purpose: the harness runs tests on
 //! multiple threads, and any concurrent test body would alias the global
@@ -14,7 +17,7 @@
 
 use at_channel::geometry::{pt, Point};
 use at_core::synthesis::{ApPose, SearchRegion};
-use at_core::{AoaSpectrum, ArrayTrackServer};
+use at_core::{AoaSpectrum, ArrayTrackServer, LocalizationEngine, LocalizeScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,19 +64,17 @@ fn lobe_toward(pose: ApPose, target: Point) -> AoaSpectrum {
 #[test]
 fn warm_localize_paths_do_not_allocate() {
     let target = pt(7.0, 3.0);
-    let mut server = ArrayTrackServer::new(SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0)));
-    for (i, (center, axis)) in [
+    let region = SearchRegion::new(pt(0.0, 0.0), pt(12.0, 8.0));
+    let mut server = ArrayTrackServer::new(region);
+    let poses: Vec<ApPose> = [
         (pt(0.0, 0.0), 0.3),
         (pt(12.0, 0.0), 2.0),
         (pt(6.0, 8.0), 4.5),
     ]
     .into_iter()
-    .enumerate()
-    {
-        let pose = ApPose {
-            center,
-            axis_angle: axis,
-        };
+    .map(|(center, axis_angle)| ApPose { center, axis_angle })
+    .collect();
+    for (i, &pose) in poses.iter().enumerate() {
         server.add_observation_from(i, pose, lobe_toward(pose, target), 0);
     }
 
@@ -110,6 +111,27 @@ fn warm_localize_paths_do_not_allocate() {
         after - before,
         0,
         "warm localize touched the allocator {} times over 10 queries",
+        after - before
+    );
+
+    // One AP: every cell along the bearing ray ties, so the search pops
+    // the most blocks from its visit heap.
+    let engine = LocalizationEngine::new(&poses, region, 720);
+    let lone = lobe_toward(poses[0], target);
+    let query = [(0, &lone)];
+    let mut scratch = LocalizeScratch::new();
+    for _ in 0..3 {
+        engine.localize_with(&query, &mut scratch);
+    }
+    let before = allocations();
+    for _ in 0..10 {
+        engine.localize_with(&query, &mut scratch);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "warm 1-AP localize_with touched the allocator {} times over 10 queries",
         after - before
     );
 }
