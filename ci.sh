@@ -66,7 +66,9 @@
 #   serve        — the networked location service: wire-protocol unit +
 #                  property tests (decoder totality, bit-exact round trips)
 #                  and the loopback server tests (parity, shedding,
-#                  deadlines, drain), then loadgen --smoke — a seconds-scale
+#                  deadlines, drain, closed connections reaped: fds and RSS
+#                  flat over 2000 sequential connections), then
+#                  loadgen --smoke — a seconds-scale
 #                  sustained/overload/mixed/drain run that fails on
 #                  throughput collapse, inert admission control, broken
 #                  keyed parity, a resident gauge over the session cap,
@@ -79,6 +81,11 @@
 #                  parity, idle/cap eviction, silent-AP quorum errors, the
 #                  session-store golden fixture) plus the barrier-driven
 #                  store interleaving tests (no torn spectra)
+#   perfbench    — the repo benchmark's own tests (perfbench/ is a Cargo
+#                  package of its own, so no other gate builds it), chief
+#                  among them decomposition_is_bit_identical_to_process_frame:
+#                  the traced per-layer decomposition must stay
+#                  bit-identical to process_frame
 #   bench-smoke  — perf_report --smoke: the observed per-stage latency
 #                  budget (detect/spectrum/fusion, from the at-obs metrics
 #                  the instrumented pipeline records) must stay within 3x of
@@ -91,7 +98,7 @@ cd "$(dirname "$0")"
 # The single source of truth for stage names: usage, the unknown-stage
 # error, and tests/ci_sh.rs all key off this list (run_stage's dispatch
 # must cover exactly these names).
-STAGES=(fmt build tier1 dsp core proto proto-props codec replay topology robustness serve serve-sessions lint doc bench-smoke)
+STAGES=(fmt build tier1 dsp core proto proto-props codec replay topology robustness serve serve-sessions lint doc perfbench bench-smoke)
 
 usage() {
     echo "usage: ./ci.sh [--quick] [--stage <name>]" >&2
@@ -210,6 +217,7 @@ run_stage() {
     serve-sessions) stage serve-sessions serve_sessions ;;
     lint) stage lint lint ;;
     doc) stage doc doc ;;
+    perfbench) stage perfbench cargo test -q --release --offline --manifest-path perfbench/Cargo.toml ;;
     bench-smoke) stage bench-smoke bench_smoke ;;
     *)
         echo "ci.sh: unknown stage '$1'" >&2
@@ -259,6 +267,7 @@ else
     run_stage serve-sessions
     run_stage lint
     run_stage doc
+    run_stage perfbench
     run_stage bench-smoke
 fi
 

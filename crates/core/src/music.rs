@@ -12,12 +12,11 @@
 //! Spatial smoothing (§2.3.2) is applied to the correlation matrix first to
 //! decorrelate coherent multipath; the paper's default is `NG = 2` groups.
 
-use crate::smoothing::{spatial_smooth, spatial_smooth_fb};
+use crate::smoothing::{spatial_smooth_fb_into, spatial_smooth_into};
 use crate::spectrum::AoaSpectrum;
 use crate::steering::SteeringTable;
 use at_dsp::SnapshotBlock;
-use at_linalg::{eigh, CMatrix, NoiseSubspace};
-use std::borrow::Cow;
+use at_linalg::{eigh_into, CMatrix, EigScratch, HermitianEigen, NoiseSubspace};
 use std::f64::consts::TAU;
 
 /// Configuration for the MUSIC estimator.
@@ -69,54 +68,93 @@ pub fn music_analysis(block: &SnapshotBlock, cfg: &MusicConfig) -> MusicAnalysis
 
 /// Runs MUSIC on a precomputed correlation matrix.
 pub fn music_analysis_from_rxx(rxx: &CMatrix, cfg: &MusicConfig) -> MusicAnalysis {
-    // Borrow the input when smoothing is off: the eigendecomposition only
-    // needs a reference, so the no-smoothing path is copy-free.
-    let smoothed: Cow<'_, CMatrix> = if cfg.smoothing_groups <= 1 {
-        Cow::Borrowed(rxx)
+    let mut scratch = MusicScratch::default();
+    let mut values = Vec::new();
+    let (signals, effective_antennas) = music_into(rxx, cfg, &mut scratch, &mut values);
+    MusicAnalysis {
+        spectrum: AoaSpectrum::from_values(values),
+        eigenvalues: scratch.eig.eigenvalues,
+        signals,
+        effective_antennas,
+    }
+}
+
+/// Every intermediate of one MUSIC run (smoothed matrix, eigensystem,
+/// noise subspace), kept between runs so a warm frame allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MusicScratch {
+    forward: CMatrix,
+    smoothed: CMatrix,
+    eig_work: EigScratch,
+    eig: HermitianEigen,
+    noise: NoiseSubspace,
+}
+
+/// The MUSIC body behind every ULA entry point: smoothing, eigensystem,
+/// noise subspace and the half-circle scan of `rxx`, with the
+/// pseudospectrum written into `values` (resized to `cfg.bins`). Returns
+/// `(D, effective antennas)`.
+pub(crate) fn music_into(
+    rxx: &CMatrix,
+    cfg: &MusicConfig,
+    scratch: &mut MusicScratch,
+    values: &mut Vec<f64>,
+) -> (usize, usize) {
+    let MusicScratch {
+        forward,
+        smoothed,
+        eig_work,
+        eig,
+        noise,
+    } = scratch;
+    // The eigendecomposition only reads its input, so the no-smoothing
+    // path works on `rxx` itself.
+    let smoothed: &CMatrix = if cfg.smoothing_groups <= 1 {
+        rxx
     } else {
         let _t = at_obs::time_stage!(at_obs::stages::SMOOTHING);
         if cfg.forward_backward {
-            Cow::Owned(spatial_smooth_fb(rxx, cfg.smoothing_groups))
+            spatial_smooth_fb_into(rxx, cfg.smoothing_groups, forward, smoothed);
         } else {
-            Cow::Owned(spatial_smooth(rxx, cfg.smoothing_groups))
+            spatial_smooth_into(rxx, cfg.smoothing_groups, smoothed);
         }
+        smoothed
     };
     let ms = smoothed.rows();
     assert!(ms >= 2, "need at least two effective antennas");
 
-    let (noise, eigenvalues, d) = {
+    let d = {
         let _t = at_obs::time_stage!(at_obs::stages::MUSIC_EIG);
-        noise_subspace(&smoothed, cfg.eigenvalue_threshold)
+        noise_subspace_into(smoothed, cfg.eigenvalue_threshold, eig_work, eig, noise)
     };
 
     // Pseudospectrum over [0, π], mirrored to the full circle (a plain ULA
     // cannot distinguish the sides; §2.3.4 handles that separately). The
-    // shared table's split re/im slabs feed one batched
-    // `aᴴ·E_N·E_Nᴴ·a` kernel call for the whole sweep — no per-bin
-    // matrix–vector product or `CVector` temporaries.
+    // shared table's bin-minor slabs feed one batched `aᴴ·E_N·E_Nᴴ·a`
+    // kernel call for the whole sweep.
     let table = SteeringTable::shared(ms, cfg.bins);
-    let spectrum = {
+    {
         let _t = at_obs::time_stage!(at_obs::stages::MUSIC_SCAN);
-        table.scan_projection(&noise)
-    };
-
-    MusicAnalysis {
-        spectrum,
-        eigenvalues,
-        signals: d,
-        effective_antennas: ms,
+        table.scan_projection_into(noise, values);
     }
+    (d, ms)
 }
 
-/// Eigendecomposes a correlation matrix and extracts the noise subspace
-/// `E_N` in SoA layout: returns `(E_N, eigenvalues, D)` with the source
-/// count `D` clamped so at least one noise dimension remains (MUSIC needs a
-/// noise subspace). Shared by the ULA and arbitrary-layout paths. The
-/// projector `Q = E_N·E_Nᴴ` is never materialized — the scan evaluates
+/// Eigendecomposes a correlation matrix into `eig` and extracts the noise
+/// subspace `E_N` into `noise` in SoA layout; returns the source count `D`,
+/// clamped so at least one noise dimension remains (MUSIC needs a noise
+/// subspace). Shared by the ULA and arbitrary-layout paths. The projector
+/// `Q = E_N·E_Nᴴ` is never materialized — the scan evaluates
 /// `aᴴ·Q·a = Σ_k |e_kᴴ·a|²` directly from the eigenvectors.
-fn noise_subspace(rxx: &CMatrix, eigenvalue_threshold: f64) -> (NoiseSubspace, Vec<f64>, usize) {
+fn noise_subspace_into(
+    rxx: &CMatrix,
+    eigenvalue_threshold: f64,
+    eig_work: &mut EigScratch,
+    eig: &mut HermitianEigen,
+    noise: &mut NoiseSubspace,
+) -> usize {
     let ms = rxx.rows();
-    let eig = eigh(rxx).expect("correlation matrices are Hermitian");
+    eigh_into(rxx, eig_work, eig).expect("correlation matrices are Hermitian");
     let lmax = eig.eigenvalues[0].max(0.0);
 
     // Source count D: eigenvalues above the threshold fraction (paper's
@@ -130,9 +168,8 @@ fn noise_subspace(rxx: &CMatrix, eigenvalue_threshold: f64) -> (NoiseSubspace, V
     if d >= ms {
         d = ms - 1;
     }
-
-    let noise = NoiseSubspace::from_eigen(&eig, d);
-    (noise, eig.eigenvalues, d)
+    noise.assign_from_eigen(eig, d);
+    d
 }
 
 /// Convenience wrapper returning just the pseudospectrum.
@@ -157,9 +194,17 @@ pub fn music_analysis_positions(
     );
     let ms = rxx.rows();
     assert!(ms >= 2, "need at least two antennas");
-    let (noise, eigenvalues, d) = {
+    let mut eig = HermitianEigen::default();
+    let mut noise = NoiseSubspace::default();
+    let d = {
         let _t = at_obs::time_stage!(at_obs::stages::MUSIC_EIG);
-        noise_subspace(rxx, cfg.eigenvalue_threshold)
+        noise_subspace_into(
+            rxx,
+            cfg.eigenvalue_threshold,
+            &mut EigScratch::default(),
+            &mut eig,
+            &mut noise,
+        )
     };
     let bins = cfg.bins;
     let values = (0..bins)
@@ -171,7 +216,7 @@ pub fn music_analysis_positions(
         .collect();
     MusicAnalysis {
         spectrum: AoaSpectrum::from_values(values),
-        eigenvalues,
+        eigenvalues: eig.eigenvalues,
         signals: d,
         effective_antennas: ms,
     }

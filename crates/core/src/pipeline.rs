@@ -10,13 +10,14 @@
 
 use crate::engine::{LocalizationEngine, LocalizeScratch};
 use crate::health::{ApStatus, HealthPolicy, HealthTracker, LocalizeError};
-use crate::music::{music_analysis, MusicConfig};
-use crate::spectrum::AoaSpectrum;
+use crate::music::{music_into, MusicConfig, MusicScratch};
+use crate::spectrum::{AoaSpectrum, BinPeak};
 use crate::suppression::{suppress_multipath, SuppressionConfig};
-use crate::symmetry::{remove_symmetry, resolve_mirror_peaks};
+use crate::symmetry::{remove_symmetry, resolve_mirror_peaks_with};
 use crate::synthesis::{ApObservation, ApPose, LocationEstimate, SearchRegion};
 use crate::weighting::{apply_geometry_weighting, confidence_weighted};
 use at_dsp::SnapshotBlock;
+use at_linalg::CMatrix;
 use std::cell::RefCell;
 
 /// How the §2.3.4 mirror ambiguity is resolved.
@@ -76,6 +77,32 @@ impl ApPipelineConfig {
     }
 }
 
+/// The frame path's reusable workspace: the in-row correlation matrix,
+/// every MUSIC intermediate and the symmetry pass's peak list.
+///
+/// [`process_frame`] runs in a per-thread instance, so once the workspace
+/// has grown to the frame shape a frame allocates only the spectrum it
+/// returns.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct FrameScratch {
+    rxx: CMatrix,
+    music: MusicScratch,
+    pub(crate) peaks: Vec<BinPeak>,
+}
+
+thread_local! {
+    static FRAME_SCRATCH: RefCell<FrameScratch> = RefCell::default();
+}
+
+/// Runs `f` with the calling thread's frame workspace, falling back to a
+/// fresh one under re-entrancy rather than panicking.
+pub(crate) fn with_frame_scratch<R>(f: impl FnOnce(&mut FrameScratch) -> R) -> R {
+    FRAME_SCRATCH.with(|s| match s.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut FrameScratch::default()),
+    })
+}
+
 /// Processes one captured frame into an AoA spectrum.
 ///
 /// The block must hold `elements` rows (plus one off-row row if symmetry
@@ -89,30 +116,26 @@ pub fn process_frame(block: &SnapshotBlock, cfg: &ApPipelineConfig) -> AoaSpectr
         "block has {} rows, config expects {expected}",
         block.antennas()
     );
-    // MUSIC on the in-row antennas only.
-    let inrow = if block.antennas() == cfg.elements {
-        block.clone()
-    } else {
-        SnapshotBlock::new(
-            (0..cfg.elements)
-                .map(|m| block.stream(m).to_vec())
-                .collect(),
-        )
-    };
-    let mut spectrum = music_analysis(&inrow, &cfg.music).spectrum;
-    if cfg.weighting {
-        apply_geometry_weighting(&mut spectrum);
-    }
-    match cfg.symmetry {
-        SymmetryMode::Off => {}
-        SymmetryMode::WholeSide => {
-            remove_symmetry(&mut spectrum, block, cfg.elements);
+    with_frame_scratch(|scratch| {
+        // MUSIC on the in-row antennas only.
+        block.correlation_matrix_into(cfg.elements, &mut scratch.rxx);
+        let mut values = Vec::new();
+        music_into(&scratch.rxx, &cfg.music, &mut scratch.music, &mut values);
+        let mut spectrum = AoaSpectrum::from_values(values);
+        if cfg.weighting {
+            apply_geometry_weighting(&mut spectrum);
         }
-        SymmetryMode::PerPeak => {
-            resolve_mirror_peaks(&mut spectrum, block, cfg.elements);
+        match cfg.symmetry {
+            SymmetryMode::Off => {}
+            SymmetryMode::WholeSide => {
+                remove_symmetry(&mut spectrum, block, cfg.elements);
+            }
+            SymmetryMode::PerPeak => {
+                resolve_mirror_peaks_with(&mut spectrum, block, cfg.elements, &mut scratch.peaks);
+            }
         }
-    }
-    spectrum
+        spectrum
+    })
 }
 
 /// Processes a group of temporally-adjacent frames from one client at one

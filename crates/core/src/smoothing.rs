@@ -19,6 +19,13 @@ use at_linalg::CMatrix;
 /// Panics if `groups == 0` or `groups >= M` (at least a 2-element subarray
 /// must remain).
 pub fn spatial_smooth(rxx: &CMatrix, groups: usize) -> CMatrix {
+    let mut out = CMatrix::default();
+    spatial_smooth_into(rxx, groups, &mut out);
+    out
+}
+
+/// [`spatial_smooth`] into a reusable matrix (reshaped in place).
+pub(crate) fn spatial_smooth_into(rxx: &CMatrix, groups: usize, out: &mut CMatrix) {
     assert!(rxx.is_square(), "correlation matrix must be square");
     let m = rxx.rows();
     assert!(groups >= 1, "need at least one group");
@@ -27,11 +34,20 @@ pub fn spatial_smooth(rxx: &CMatrix, groups: usize) -> CMatrix {
         "smoothing {m} antennas over {groups} groups leaves no usable subarray"
     );
     let ms = m - groups + 1;
-    let mut acc = CMatrix::zeros(ms, ms);
+    out.set_zeros(ms, ms);
     for g in 0..groups {
-        acc = &acc + &rxx.submatrix(g, g, ms);
+        for r in 0..ms {
+            for c in 0..ms {
+                out[(r, c)] += rxx[(g + r, g + c)];
+            }
+        }
     }
-    acc.scale(1.0 / groups as f64)
+    let k = 1.0 / groups as f64;
+    for r in 0..ms {
+        for c in 0..ms {
+            out[(r, c)] = out[(r, c)].scale(k);
+        }
+    }
 }
 
 /// Forward–backward spatial smoothing: additionally averages with the
@@ -39,11 +55,28 @@ pub fn spatial_smooth(rxx: &CMatrix, groups: usize) -> CMatrix {
 /// decorrelation per antenna spent. A standard extension of \[28\]; exposed
 /// for the ablation bench.
 pub fn spatial_smooth_fb(rxx: &CMatrix, groups: usize) -> CMatrix {
-    let fwd = spatial_smooth(rxx, groups);
+    let mut out = CMatrix::default();
+    spatial_smooth_fb_into(rxx, groups, &mut CMatrix::default(), &mut out);
+    out
+}
+
+/// [`spatial_smooth_fb`] into a reusable matrix, with `fwd` holding the
+/// forward-smoothed intermediate.
+pub(crate) fn spatial_smooth_fb_into(
+    rxx: &CMatrix,
+    groups: usize,
+    fwd: &mut CMatrix,
+    out: &mut CMatrix,
+) {
+    spatial_smooth_into(rxx, groups, fwd);
     let ms = fwd.rows();
     // Backward matrix: J·conj(R̄)·J with J the exchange (flip) matrix.
-    let bwd = CMatrix::from_fn(ms, ms, |r, c| fwd[(ms - 1 - r, ms - 1 - c)].conj());
-    (&fwd + &bwd).scale(0.5)
+    out.set_zeros(ms, ms);
+    for r in 0..ms {
+        for c in 0..ms {
+            out[(r, c)] = (fwd[(r, c)] + fwd[(ms - 1 - r, ms - 1 - c)].conj()).scale(0.5);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -18,6 +18,44 @@ pub struct Peak {
     pub power: f64,
 }
 
+/// A peak by bin index (the allocation-free form of [`Peak`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BinPeak {
+    /// Bin index of the peak.
+    pub(crate) bin: usize,
+    /// Spectrum value at the peak.
+    pub(crate) power: f64,
+}
+
+/// The bearing of bin `i` of a `bins`-bin spectrum ([`AoaSpectrum::theta_of`]).
+pub(crate) fn bin_theta(i: usize, bins: usize) -> f64 {
+    i as f64 * (TAU / bins as f64)
+}
+
+/// The bin a bearing rounds to on a `bins`-bin spectrum (the lobe walks'
+/// starting point).
+pub(crate) fn nearest_bin(theta: f64, bins: usize) -> usize {
+    ((theta.rem_euclid(TAU)) / (TAU / bins as f64)).round() as usize % bins
+}
+
+/// Bin `i − 1`, wrapping circularly.
+fn prev_bin(i: usize, n: usize) -> usize {
+    if i == 0 {
+        n - 1
+    } else {
+        i - 1
+    }
+}
+
+/// Bin `i + 1`, wrapping circularly.
+fn next_bin(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
 /// A sampled AoA (pseudo)spectrum over the full circle.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AoaSpectrum {
@@ -58,7 +96,7 @@ impl AoaSpectrum {
 
     /// The bearing of bin `i`.
     pub fn theta_of(&self, i: usize) -> f64 {
-        i as f64 * self.resolution()
+        bin_theta(i, self.bins())
     }
 
     /// Raw sample values.
@@ -125,30 +163,46 @@ impl AoaSpectrum {
     /// Finds local maxima at least `rel_threshold` × the global maximum,
     /// sorted by descending power. Adjacent bins are compared circularly.
     pub fn find_peaks(&self, rel_threshold: f64) -> Vec<Peak> {
+        let mut peaks = Vec::new();
+        self.for_each_peak(rel_threshold, |i, power| {
+            peaks.push(Peak {
+                theta: self.theta_of(i),
+                power,
+            })
+        });
+        peaks.sort_by(|a, b| b.power.partial_cmp(&a.power).expect("finite powers"));
+        peaks
+    }
+
+    /// [`Self::find_peaks`] by bin index, into a reusable list: the same
+    /// peaks in the same order (the same stable sort on the same powers).
+    pub(crate) fn peak_bins_into(&self, rel_threshold: f64, out: &mut Vec<BinPeak>) {
+        out.clear();
+        self.for_each_peak(rel_threshold, |bin, power| out.push(BinPeak { bin, power }));
+        out.sort_by(|a, b| b.power.partial_cmp(&a.power).expect("finite powers"));
+    }
+
+    /// Calls `f(bin, power)` for every local maximum at least
+    /// `rel_threshold` × the global maximum, in bin order.
+    fn for_each_peak(&self, rel_threshold: f64, mut f: impl FnMut(usize, f64)) {
         let n = self.bins();
         let max = self.max_value();
         if max == 0.0 {
-            return Vec::new();
+            return;
         }
         let floor = max * rel_threshold;
-        let mut peaks = Vec::new();
         for i in 0..n {
             let v = self.values[i];
             if v < floor {
                 continue;
             }
-            let prev = self.values[(i + n - 1) % n];
-            let next = self.values[(i + 1) % n];
+            let prev = self.values[prev_bin(i, n)];
+            let next = self.values[next_bin(i, n)];
             // Strict rise on one side avoids double-counting flat tops.
             if v > prev && v >= next {
-                peaks.push(Peak {
-                    theta: self.theta_of(i),
-                    power: v,
-                });
+                f(i, v);
             }
         }
-        peaks.sort_by(|a, b| b.power.partial_cmp(&a.power).expect("finite powers"));
-        peaks
     }
 
     /// Whether any peak lies within `tol` radians of `theta`.
@@ -163,36 +217,7 @@ impl AoaSpectrum {
     /// Implements "remove peaks from the primary" (§2.4 step 2).
     pub(crate) fn remove_peak(&mut self, theta: f64) {
         let n = self.bins();
-        let center = ((theta.rem_euclid(TAU)) / self.resolution()).round() as usize % n;
-        // Walk to the local max near the requested bearing first (the
-        // caller's peak estimate may be a bin or two off).
-        let mut apex = center;
-        loop {
-            let up = (apex + 1) % n;
-            let down = (apex + n - 1) % n;
-            if self.values[up] > self.values[apex] {
-                apex = up;
-            } else if self.values[down] > self.values[apex] {
-                apex = down;
-            } else {
-                break;
-            }
-        }
-        // Walk downhill each way to the local minima.
-        let mut left = apex;
-        while self.values[(left + n - 1) % n] < self.values[left] {
-            left = (left + n - 1) % n;
-            if left == apex {
-                break; // safety for pathological single-lobe spectra
-            }
-        }
-        let mut right = apex;
-        while self.values[(right + 1) % n] < self.values[right] {
-            right = (right + 1) % n;
-            if right == apex {
-                break;
-            }
-        }
+        let (left, right) = self.lobe_span(nearest_bin(theta, n));
         let fill = self.values[left].min(self.values[right]);
         let mut i = left;
         loop {
@@ -200,7 +225,7 @@ impl AoaSpectrum {
             if i == right {
                 break;
             }
-            i = (i + 1) % n;
+            i = next_bin(i, n);
         }
     }
 
@@ -209,51 +234,59 @@ impl AoaSpectrum {
     /// multiplying every bin in that span. Used by per-peak symmetry
     /// resolution to attenuate a mirror ghost without a hard zero.
     pub fn scale_lobe(&mut self, theta: f64, factor: f64) {
+        self.scale_lobe_at(nearest_bin(theta, self.bins()), factor);
+    }
+
+    /// [`Self::scale_lobe`] from the bin index `center` the bearing rounds
+    /// to.
+    pub(crate) fn scale_lobe_at(&mut self, center: usize, factor: f64) {
         assert!((0.0..=1.0).contains(&factor), "factor must be in [0, 1]");
         let n = self.bins();
-        let center = ((theta.rem_euclid(TAU)) / self.resolution()).round() as usize % n;
-        let mut apex = center;
-        loop {
-            let up = (apex + 1) % n;
-            let down = (apex + n - 1) % n;
-            if self.values[up] > self.values[apex] {
-                apex = up;
-            } else if self.values[down] > self.values[apex] {
-                apex = down;
-            } else {
-                break;
-            }
-        }
-        let mut left = apex;
-        while self.values[(left + n - 1) % n] < self.values[left] {
-            left = (left + n - 1) % n;
-            if left == apex {
-                break;
-            }
-        }
-        let mut right = apex;
-        while self.values[(right + 1) % n] < self.values[right] {
-            right = (right + 1) % n;
-            if right == apex {
-                break;
-            }
-        }
+        let (left, right) = self.lobe_span(center);
         let mut i = left;
         loop {
             self.values[i] *= factor;
             if i == right {
                 break;
             }
-            i = (i + 1) % n;
+            i = next_bin(i, n);
         }
     }
 
-    /// Multiplies the spectrum by a bearing-dependent window.
-    pub(crate) fn apply_window(&mut self, w: impl Fn(f64) -> f64) {
-        for i in 0..self.bins() {
-            let theta = self.theta_of(i);
-            self.values[i] *= w(theta);
+    /// The lobe around bin `center`: climbs to the local maximum (the
+    /// caller's bin may be a bin or two off the apex), then walks downhill
+    /// each way to the surrounding local minima. Returns the circular span
+    /// `(left, right)`, both ends inclusive.
+    fn lobe_span(&self, center: usize) -> (usize, usize) {
+        let n = self.bins();
+        let v = &self.values;
+        let mut apex = center;
+        loop {
+            let up = next_bin(apex, n);
+            let down = prev_bin(apex, n);
+            if v[up] > v[apex] {
+                apex = up;
+            } else if v[down] > v[apex] {
+                apex = down;
+            } else {
+                break;
+            }
         }
+        let mut left = apex;
+        while v[prev_bin(left, n)] < v[left] {
+            left = prev_bin(left, n);
+            if left == apex {
+                break; // safety for pathological single-lobe spectra
+            }
+        }
+        let mut right = apex;
+        while v[next_bin(right, n)] < v[right] {
+            right = next_bin(right, n);
+            if right == apex {
+                break;
+            }
+        }
+        (left, right)
     }
 
     /// Total power on the `[0, π)` side vs. the `[π, 2π)` side of the
@@ -353,15 +386,6 @@ mod tests {
         // Shape preserved.
         let r = s.sample(1.0) / s.max_value();
         assert!((n.sample(1.0) - r).abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_application() {
-        let mut s = AoaSpectrum::from_fn(360, |_| 1.0);
-        s.apply_window(|t| if t < PI { 1.0 } else { 0.0 });
-        let (up, down) = s.side_powers();
-        assert!(up > 0.0);
-        assert_eq!(down, 0.0);
     }
 
     #[test]

@@ -18,10 +18,28 @@
 use crate::spectrum::AoaSpectrum;
 use at_channel::geometry::{pt, Point};
 use at_channel::{half_wavelength, wavelength};
-use at_linalg::{CVector, Complex64, NoiseSubspace};
+use at_linalg::{CVector, Complex64, NoiseSubspace, PROJECTION_BLOCK};
 use std::collections::HashMap;
 use std::f64::consts::{PI, TAU};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// A process-wide memo of data-independent tables keyed by their shape.
+pub(crate) type TableCache<K, T> = OnceLock<Mutex<HashMap<K, Arc<T>>>>;
+
+/// The table for `key` from `cache`: built by `build` on first use, then
+/// shared — a warm lookup clones an `Arc` and allocates nothing.
+pub(crate) fn memoized<K: Eq + Hash, T>(
+    cache: &'static TableCache<K, T>,
+    key: K,
+    build: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut map = cache
+        .get_or_init(Default::default)
+        .lock()
+        .expect("table cache lock");
+    Arc::clone(map.entry(key).or_insert_with(|| Arc::new(build())))
+}
 
 /// Steering vector for an `elements`-antenna λ/2 ULA at bearing `theta`
 /// (radians from the array axis).
@@ -49,11 +67,13 @@ pub struct SteeringTable {
     bins: usize,
     /// `bins/2 + 1` vectors for θ = i·2π/bins, i in `0..=bins/2`.
     vectors: Vec<CVector>,
-    /// The same vectors as contiguous split re/im slabs (row `i` holds
-    /// vector `i`'s components) — the layout the batched noise-subspace
-    /// projection kernel consumes.
-    planar_re: Vec<f64>,
-    planar_im: Vec<f64>,
+    /// The same vectors as bin-minor split re/im slabs: element `j` of
+    /// vector `i` sits at `[j * stride + i]`, with `stride` the vector
+    /// count padded to a [`PROJECTION_BLOCK`] multiple (padding is zero).
+    /// The layout [`NoiseSubspace::batch_projection`] consumes.
+    stride: usize,
+    bin_re: Vec<f64>,
+    bin_im: Vec<f64>,
 }
 
 impl SteeringTable {
@@ -66,33 +86,32 @@ impl SteeringTable {
         let vectors: Vec<CVector> = (0..=half)
             .map(|i| ula_steering(elements, i as f64 * TAU / bins as f64))
             .collect();
-        let mut planar_re = Vec::with_capacity((half + 1) * elements);
-        let mut planar_im = Vec::with_capacity((half + 1) * elements);
-        for v in &vectors {
-            planar_re.extend(v.iter().map(|z| z.re));
-            planar_im.extend(v.iter().map(|z| z.im));
+        let stride = vectors.len().next_multiple_of(PROJECTION_BLOCK);
+        let mut bin_re = vec![0.0; elements * stride];
+        let mut bin_im = vec![0.0; elements * stride];
+        for (i, v) in vectors.iter().enumerate() {
+            for (j, z) in v.iter().enumerate() {
+                bin_re[j * stride + i] = z.re;
+                bin_im[j * stride + i] = z.im;
+            }
         }
         Self {
             elements,
             bins,
             vectors,
-            planar_re,
-            planar_im,
+            stride,
+            bin_re,
+            bin_im,
         }
     }
 
     /// The process-wide shared table for `(elements, bins)`: built on first
     /// use, then reused by every subsequent scan with the same shape.
     pub fn shared(elements: usize, bins: usize) -> Arc<SteeringTable> {
-        #[allow(clippy::type_complexity)]
-        static CACHE: OnceLock<Mutex<HashMap<(usize, usize), Arc<SteeringTable>>>> =
-            OnceLock::new();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().expect("steering cache lock");
-        Arc::clone(
-            map.entry((elements, bins))
-                .or_insert_with(|| Arc::new(SteeringTable::new(elements, bins))),
-        )
+        static CACHE: TableCache<(usize, usize), SteeringTable> = OnceLock::new();
+        memoized(&CACHE, (elements, bins), || {
+            SteeringTable::new(elements, bins)
+        })
     }
 
     /// The precomputed steering vector for bin `i` (`i ≤ bins/2`).
@@ -120,11 +139,20 @@ impl SteeringTable {
     /// The MUSIC sweep as one batched SoA kernel call: evaluates
     /// `P(θ) = 1 / max(aᴴ·E_N·E_Nᴴ·a, 1e-12)` for every stored
     /// half-circle vector via [`NoiseSubspace::batch_projection`] and
-    /// mirrors to the full circle, with no per-bin temporaries.
+    /// mirrors to the full circle. Every bin is bit-identical to
+    /// `1 / max(noise.projection(self.vector(i)), 1e-12)`.
     ///
     /// # Panics
     /// Panics if `noise` was built for a different element count.
     pub fn scan_projection(&self, noise: &NoiseSubspace) -> AoaSpectrum {
+        let mut values = Vec::new();
+        self.scan_projection_into(noise, &mut values);
+        AoaSpectrum::from_values(values)
+    }
+
+    /// [`Self::scan_projection`]'s values, written into `values` (resized
+    /// to `bins`), with no temporaries.
+    pub(crate) fn scan_projection_into(&self, noise: &NoiseSubspace, values: &mut Vec<f64>) {
         assert_eq!(
             noise.elements(),
             self.elements,
@@ -132,16 +160,20 @@ impl SteeringTable {
         );
         let bins = self.bins;
         let half = bins / 2;
-        let mut values = vec![0.0; bins];
-        noise.batch_projection(&self.planar_re, &self.planar_im, &mut values[..=half]);
-        for i in (0..=half).rev() {
-            let p = (1.0 / values[i].max(1e-12)).max(0.0);
-            values[i] = p;
-            if i != 0 && i != half {
-                values[bins - i] = p;
-            }
+        values.clear();
+        values.resize(bins, 0.0);
+        noise.batch_projection(
+            &self.bin_re,
+            &self.bin_im,
+            self.stride,
+            &mut values[..=half],
+        );
+        for v in &mut values[..=half] {
+            *v = (1.0 / v.max(1e-12)).max(0.0);
         }
-        AoaSpectrum::from_values(values)
+        for i in 1..half {
+            values[bins - i] = values[i];
+        }
     }
 }
 

@@ -19,8 +19,10 @@
 //! pseudospectrum that interpolates between full trust and a flat
 //! (fusion-neutral) factor for APs whose health is suspect.
 
-use crate::spectrum::AoaSpectrum;
+use crate::spectrum::{bin_theta, AoaSpectrum};
+use crate::steering::{memoized, TableCache};
 use std::f64::consts::PI;
+use std::sync::{Arc, OnceLock};
 
 /// Lower edge of the full-confidence region, radians (15°).
 pub(crate) const INNER_EDGE: f64 = 15.0 * PI / 180.0;
@@ -44,9 +46,25 @@ pub fn geometry_weight(theta: f64) -> f64 {
     }
 }
 
-/// Applies the geometry window to a spectrum in place.
+/// `W(θ_i)` at every bin of a `bins`-bin spectrum, built once per
+/// resolution: the window depends on the bin alone, never on the data.
+fn geometry_window(bins: usize) -> Arc<Vec<f64>> {
+    static CACHE: TableCache<usize, Vec<f64>> = OnceLock::new();
+    memoized(&CACHE, bins, || {
+        (0..bins)
+            .map(|i| geometry_weight(bin_theta(i, bins)))
+            .collect()
+    })
+}
+
+/// Applies the geometry window to a spectrum in place: each bin is
+/// multiplied by [`geometry_weight`] at its bearing, read from a table
+/// cached per resolution.
 pub fn apply_geometry_weighting(spectrum: &mut AoaSpectrum) {
-    spectrum.apply_window(geometry_weight);
+    let window = geometry_window(spectrum.bins());
+    for (v, w) in spectrum.values_mut().iter_mut().zip(window.iter()) {
+        *v *= w;
+    }
 }
 
 /// Reweights a pseudospectrum by confidence `w ∈ [0, 1]` for fusion.

@@ -1,15 +1,18 @@
 //! Parity between the planar/SoA hot-path kernels and their naive
 //! reference formulations.
 //!
-//! The zero-allocation rework restructured two inner loops:
-//!
-//! - the MUSIC sweep now runs `aᴴ·E_N·E_Nᴴ·a` over split re/im slabs
-//!   ([`at_linalg::NoiseSubspace`]) instead of probing a materialized
-//!   projector matrix. The two forms are algebraically identical but
-//!   associate differently, so spectra agree to ≈1e-12 *on the quadratic
-//!   forms* (`|va−vb| ≤ 1e-12·(1 + va·vb)` on the reciprocal spectrum
-//!   values), not bit-for-bit;
-//! - the fusion sweep accumulates AP-major over contiguous bin-index
+//! - The MUSIC sweep evaluates `aᴴ·E_N·E_Nᴴ·a = Σ_k |e_kᴴ·a|²` from the
+//!   noise eigenvectors ([`at_linalg::NoiseSubspace`]), eight bins per
+//!   pass over bin-minor steering slabs. Every bin keeps the single-probe
+//!   order of operations, so the sweep equals
+//!   `1 / max(noise.projection(a_i), 1e-12)` *bit-for-bit* at every
+//!   element count, noise dimension and resolution. Against a
+//!   materialized projector `Q = E_N·E_Nᴴ`, which associates differently,
+//!   spectra agree to ≈1e-12 on the quadratic forms
+//!   (`|va−vb| ≤ 1e-12·(1 + va·vb)` on the reciprocal spectrum values).
+//! - The geometry window is a per-resolution table; weighting must equal
+//!   multiplying each bin by `geometry_weight(θ_i)` bit-for-bit.
+//! - The fusion sweep accumulates AP-major over contiguous bin-index
 //!   slabs. The per-cell add order is unchanged, so heatmaps and location
 //!   picks must match the naive cell-major walk *bit-for-bit*, and a
 //!   reused scratch arena must never change a result.
@@ -21,6 +24,7 @@ use at_channel::geometry::{angle_diff, pt};
 use at_core::spectrum::AoaSpectrum;
 use at_core::steering::SteeringTable;
 use at_core::synthesis::{ApPose, SearchRegion};
+use at_core::weighting::{apply_geometry_weighting, geometry_weight};
 use at_core::{LocalizationEngine, LocalizeScratch};
 use at_linalg::{c64, eigh, CMatrix, CVector, Complex64, NoiseSubspace};
 use proptest::prelude::*;
@@ -34,18 +38,7 @@ fn rxx_strategy() -> impl Strategy<Value = CMatrix> {
         proptest::collection::vec((0.2f64..3.0, 0.2f64..1.5), 1..4),
         0.001f64..0.2,
     )
-        .prop_map(|(sources, noise)| {
-            let mut r = CMatrix::zeros(ELEMENTS, ELEMENTS);
-            for (theta, amp) in sources {
-                let a = at_core::steering::ula_steering(ELEMENTS, theta);
-                let v = CVector::from_fn(ELEMENTS, |i| a[i].scale(amp));
-                r.add_outer_assign(&v, 1.0);
-            }
-            for i in 0..ELEMENTS {
-                r[(i, i)] += Complex64::real(noise);
-            }
-            r
-        })
+        .prop_map(|(sources, noise)| correlation(ELEMENTS, &sources, noise))
 }
 
 /// Random single-or-multi-lobe spectra for the fusion tests.
@@ -77,8 +70,77 @@ fn test_poses() -> Vec<ApPose> {
     .collect()
 }
 
+/// A Hermitian `m × m` correlation matrix from incoherent sources at
+/// `(bearing, amplitude)` plus white noise.
+fn correlation(m: usize, sources: &[(f64, f64)], noise: f64) -> CMatrix {
+    let mut r = CMatrix::zeros(m, m);
+    for &(theta, amp) in sources {
+        let a = at_core::steering::ula_steering(m, theta);
+        let v = CVector::from_fn(m, |i| a[i].scale(amp));
+        r.add_outer_assign(&v, 1.0);
+    }
+    for i in 0..m {
+        r[(i, i)] += Complex64::real(noise);
+    }
+    r
+}
+
+/// Resolutions whose half-plus-one (361, 181, 5) is not a multiple of the
+/// kernel's block width, so every sweep ends in a ragged block.
+const SCAN_BINS: [usize; 3] = [720, 360, 8];
+
+#[test]
+fn geometry_window_table_matches_per_bin_weights() {
+    for bins in [720, 360, 64, 9, 8] {
+        let mut s = AoaSpectrum::from_fn(bins, |t| 1.5 + t.sin());
+        let expect: Vec<u64> = (0..bins)
+            .map(|i| (s.values()[i] * geometry_weight(s.theta_of(i))).to_bits())
+            .collect();
+        apply_geometry_weighting(&mut s);
+        let got: Vec<u64> = s.values().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, expect, "bins = {bins}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn blocked_scan_is_bit_identical_to_single_probes(
+        sources in proptest::collection::vec((0.2f64..3.0, 0.2f64..1.5), 1..4),
+        noise_power in 0.001f64..0.2,
+    ) {
+        for m in 2..=8 {
+            let eig = eigh(&correlation(m, &sources, noise_power)).expect("hermitian");
+            // Every noise dimension, 1 ..= m.
+            for signals in 0..m {
+                let noise = NoiseSubspace::from_eigen(&eig, signals);
+                for bins in SCAN_BINS {
+                    let table = SteeringTable::new(m, bins);
+                    let spectrum = table.scan_projection(&noise);
+                    let half = bins / 2;
+                    for i in 0..=half {
+                        let single = 1.0 / noise.projection(table.vector(i)).max(1e-12);
+                        prop_assert_eq!(
+                            spectrum.values()[i].to_bits(),
+                            single.to_bits(),
+                            "m={} signals={} bins={} bin {}",
+                            m,
+                            signals,
+                            bins,
+                            i
+                        );
+                        if i != 0 && i != half {
+                            prop_assert_eq!(
+                                spectrum.values()[bins - i].to_bits(),
+                                single.to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn planar_music_scan_matches_materialized_projector(

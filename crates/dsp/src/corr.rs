@@ -5,7 +5,7 @@
 //! snapshots. The paper uses `K = 10` samples (§4.3.3) cut from the
 //! preamble; the figure-19 experiment sweeps `K ∈ {1, 5, 10, 100}`.
 
-use at_linalg::{CMatrix, CVector};
+use at_linalg::CMatrix;
 
 /// A block of `K` array snapshots for an `M`-antenna array, stored as
 /// per-antenna sample streams of equal length.
@@ -41,11 +41,6 @@ impl SnapshotBlock {
         self.per_antenna[0].len()
     }
 
-    /// The array vector `x(t)` at snapshot `t`.
-    pub(crate) fn snapshot(&self, t: usize) -> CVector {
-        CVector::from_fn(self.antennas(), |m| self.per_antenna[m][t])
-    }
-
     /// Restricts the block to the first `k` snapshots.
     pub fn truncated(&self, k: usize) -> SnapshotBlock {
         let k = k.min(self.snapshots());
@@ -64,15 +59,31 @@ impl SnapshotBlock {
     ///
     /// The result is Hermitian positive semi-definite by construction.
     pub fn correlation_matrix(&self) -> CMatrix {
-        let m = self.antennas();
+        let mut r = CMatrix::default();
+        self.correlation_matrix_into(self.antennas(), &mut r);
+        r
+    }
+
+    /// The correlation matrix of the block's first `rows` antennas, written
+    /// into `out` (reshaped in place, so a warm caller allocates nothing).
+    /// Bit-identical to [`Self::correlation_matrix`] of a block holding
+    /// only those rows: the same rank-one updates in the same order.
+    ///
+    /// # Panics
+    /// Panics if `rows` exceeds [`Self::antennas`].
+    pub fn correlation_matrix_into(&self, rows: usize, out: &mut CMatrix) {
+        assert!(rows <= self.antennas(), "block has too few antennas");
         let k = self.snapshots();
-        let mut r = CMatrix::zeros(m, m);
+        let streams = &self.per_antenna[..rows];
+        out.set_zeros(rows, rows);
         let w = 1.0 / k as f64;
         for t in 0..k {
-            let x = self.snapshot(t);
-            r.add_outer_assign(&x, w);
+            for (r, xr) in streams.iter().enumerate() {
+                for (c, xc) in streams.iter().enumerate() {
+                    out[(r, c)] += (xr[t] * xc[t].conj()).scale(w);
+                }
+            }
         }
-        r
     }
 }
 

@@ -29,7 +29,7 @@ use crate::vector::CVector;
 /// classifying signal vs. noise subspaces (paper eq. 5 lists ascending, the
 /// top `D` being signals; descending lets callers take `..d` for signals).
 /// `eigenvectors.col(k)` is the unit eigenvector for `eigenvalues[k]`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HermitianEigen {
     /// Real eigenvalues, sorted descending.
     pub eigenvalues: Vec<f64>,
@@ -126,6 +126,31 @@ const HERMITIAN_RTOL: f64 = 1e-8;
 /// assert!((e.eigenvalues[1] + 1.0).abs() < 1e-12);
 /// ```
 pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, EigError> {
+    let mut out = HermitianEigen::default();
+    eigh_into(a, &mut EigScratch::default(), &mut out)?;
+    Ok(out)
+}
+
+/// The Jacobi sweep's working matrices, reused across [`eigh_into`]
+/// calls so a warm decomposition allocates nothing.
+#[derive(Clone, Debug, Default)]
+pub struct EigScratch {
+    m: CMatrix,
+    v: CMatrix,
+    order: Vec<usize>,
+}
+
+/// [`eigh`] into caller-owned storage: `out` is overwritten with the
+/// decomposition (bit-identical to [`eigh`]'s), and both `out` and
+/// `scratch` keep their buffers for the next call.
+///
+/// # Errors
+/// As [`eigh`]; `out` is unspecified after an error.
+pub fn eigh_into(
+    a: &CMatrix,
+    scratch: &mut EigScratch,
+    out: &mut HermitianEigen,
+) -> Result<(), EigError> {
     if !a.is_square() {
         return Err(EigError::NotSquare);
     }
@@ -134,28 +159,37 @@ pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, EigError> {
     if !a.is_hermitian(HERMITIAN_RTOL * scale) {
         return Err(EigError::NotHermitian);
     }
+    let EigScratch { m, v, order } = scratch;
     if n == 0 {
-        return Ok(HermitianEigen {
-            eigenvalues: vec![],
-            eigenvectors: CMatrix::zeros(0, 0),
-        });
+        out.eigenvalues.clear();
+        out.eigenvectors.set_zeros(0, 0);
+        return Ok(());
     }
 
     // Work on a Hermitian-symmetrized copy so tiny asymmetries from the
     // caller's accumulation order cannot bias the sweeps.
-    let mut m = CMatrix::from_fn(n, n, |r, c| (a[(r, c)] + a[(c, r)].conj()).scale(0.5));
-    let mut v = CMatrix::identity(n);
+    m.set_zeros(n, n);
+    for r in 0..n {
+        for c in 0..n {
+            m[(r, c)] = (a[(r, c)] + a[(c, r)].conj()).scale(0.5);
+        }
+    }
+    v.set_zeros(n, n);
+    for i in 0..n {
+        v[(i, i)] = Complex64::ONE;
+    }
 
     // Convergence threshold on off-diagonal mass, relative to input scale.
     let tol = (1e-14 * scale).powi(2) * (n * n) as f64;
 
     for _sweep in 0..MAX_SWEEPS {
         if m.off_diagonal_sqr() <= tol {
-            return Ok(collect(&m, &v));
+            collect(m, v, order, out);
+            return Ok(());
         }
         for p in 0..n - 1 {
             for q in p + 1..n {
-                rotate(&mut m, &mut v, p, q);
+                rotate(m, v, p, q);
             }
         }
         if !m.trace().is_finite() {
@@ -165,7 +199,8 @@ pub fn eigh(a: &CMatrix) -> Result<HermitianEigen, EigError> {
     if m.off_diagonal_sqr() <= tol * 1e4 {
         // Accept slightly looser convergence rather than fail: still far
         // below the noise floor of any measured correlation matrix.
-        return Ok(collect(&m, &v));
+        collect(m, v, order, out);
+        return Ok(());
     }
     Err(EigError::NoConvergence)
 }
@@ -227,18 +262,26 @@ fn rotate(m: &mut CMatrix, v: &mut CMatrix, p: usize, q: usize) {
     }
 }
 
-/// Extracts sorted (descending) eigenpairs from the converged diagonal.
-fn collect(m: &CMatrix, v: &CMatrix) -> HermitianEigen {
+/// Extracts sorted (descending) eigenpairs from the converged diagonal
+/// into `out`, with `order` as the sort's index buffer.
+fn collect(m: &CMatrix, v: &CMatrix, order: &mut Vec<usize>, out: &mut HermitianEigen) {
     let n = m.rows();
-    let mut order: Vec<usize> = (0..n).collect();
-    let diag: Vec<f64> = (0..n).map(|i| m[(i, i)].re).collect();
-    order.sort_by(|&a, &b| diag[b].partial_cmp(&diag[a]).expect("finite eigenvalues"));
+    order.clear();
+    order.extend(0..n);
+    order.sort_by(|&a, &b| {
+        m[(b, b)]
+            .re
+            .partial_cmp(&m[(a, a)].re)
+            .expect("finite eigenvalues")
+    });
 
-    let eigenvalues: Vec<f64> = order.iter().map(|&i| diag[i]).collect();
-    let eigenvectors = CMatrix::from_fn(n, n, |r, c| v[(r, order[c])]);
-    HermitianEigen {
-        eigenvalues,
-        eigenvectors,
+    out.eigenvalues.clear();
+    out.eigenvalues.extend(order.iter().map(|&i| m[(i, i)].re));
+    out.eigenvectors.set_zeros(n, n);
+    for r in 0..n {
+        for (c, &k) in order.iter().enumerate() {
+            out.eigenvectors[(r, c)] = v[(r, k)];
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!   complex Jacobi method, producing the signal/noise subspace split at the
 //!   heart of the MUSIC pseudospectrum (paper §2.3.1, eqs. 5–6);
 //! - [`NoiseSubspace`]: the noise eigenvectors in split re/im
-//!   structure-of-arrays layout, with single and batched
+//!   structure-of-arrays layout, with single and bin-blocked
 //!   `aᴴ·E_N·E_Nᴴ·a` projection kernels — the allocation-free shape of the
 //!   MUSIC sweep.
 //!
@@ -31,7 +31,7 @@ mod soa;
 mod vector;
 
 pub use complex::{c64, Complex64};
-pub use eig::{eigh, EigError, HermitianEigen};
+pub use eig::{eigh, eigh_into, EigError, EigScratch, HermitianEigen};
 pub use matrix::CMatrix;
-pub use soa::NoiseSubspace;
+pub use soa::{NoiseSubspace, PROJECTION_BLOCK};
 pub use vector::CVector;

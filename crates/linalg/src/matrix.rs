@@ -8,8 +8,9 @@ use crate::complex::Complex64;
 use crate::vector::CVector;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
-/// A dense, row-major complex matrix.
-#[derive(Clone, Debug, PartialEq)]
+/// A dense, row-major complex matrix. The default is the empty `0 × 0`
+/// matrix, the starting state of a reusable workspace.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
@@ -24,6 +25,15 @@ impl CMatrix {
             cols,
             data: vec![Complex64::ZERO; rows * cols],
         }
+    }
+
+    /// Reshapes `self` in place to an `rows × cols` matrix of zeros,
+    /// reusing its storage: the allocation-free form of [`Self::zeros`].
+    pub fn set_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, Complex64::ZERO);
     }
 
     /// The `n × n` identity matrix.
@@ -162,16 +172,6 @@ impl CMatrix {
             }
         }
         true
-    }
-
-    /// Extracts the contiguous square submatrix with corner `(r0, c0)` and
-    /// size `n` — used by spatial smoothing's subarray averaging.
-    pub fn submatrix(&self, r0: usize, c0: usize, n: usize) -> CMatrix {
-        assert!(
-            r0 + n <= self.rows && c0 + n <= self.cols,
-            "submatrix out of range"
-        );
-        CMatrix::from_fn(n, n, |r, c| self[(r0 + r, c0 + c)])
     }
 }
 
@@ -352,14 +352,6 @@ mod tests {
         );
         assert!(!nh.is_hermitian(1e-15));
         assert!(!CMatrix::zeros(2, 3).is_hermitian(1e-15));
-    }
-
-    #[test]
-    fn submatrix_extraction() {
-        let a = CMatrix::from_fn(4, 4, |r, c| c64((r * 4 + c) as f64, 0.0));
-        let s = a.submatrix(1, 1, 2);
-        assert_eq!(s[(0, 0)], c64(5.0, 0.0));
-        assert_eq!(s[(1, 1)], c64(10.0, 0.0));
     }
 
     #[test]

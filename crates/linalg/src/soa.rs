@@ -16,8 +16,10 @@
 //! than the projector form (no cancellation between accumulated products).
 //! [`NoiseSubspace`] stores the eigenvectors as split real/imaginary `f64`
 //! rows and evaluates the quadratic form for a single probe vector or a
-//! whole contiguous slab of them without allocating — the shape the
-//! 720-bin MUSIC sweep wants.
+//! whole bin-minor slab of them without allocating — the shape the
+//! 720-bin MUSIC sweep wants. The slab kernel runs
+//! [`PROJECTION_BLOCK`] probes per pass, each with exactly the single
+//! probe's order of operations, so the two forms agree bit for bit.
 
 use crate::eig::HermitianEigen;
 use crate::vector::CVector;
@@ -26,7 +28,7 @@ use crate::vector::CVector;
 /// split-complex, structure-of-arrays layout: row `k` of the internal
 /// `re`/`im` slabs holds the real/imaginary parts of noise eigenvector
 /// `k`, contiguously over the array elements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NoiseSubspace {
     elements: usize,
     re: Vec<f64>,
@@ -42,19 +44,28 @@ impl NoiseSubspace {
     /// Panics unless `signals < elements`: MUSIC needs at least one noise
     /// dimension.
     pub fn from_eigen(eig: &HermitianEigen, signals: usize) -> Self {
+        let mut noise = Self::default();
+        noise.assign_from_eigen(eig, signals);
+        noise
+    }
+
+    /// [`Self::from_eigen`] in place, reusing this subspace's storage.
+    ///
+    /// # Panics
+    /// As [`Self::from_eigen`].
+    pub fn assign_from_eigen(&mut self, eig: &HermitianEigen, signals: usize) {
         let elements = eig.eigenvalues.len();
         assert!(signals < elements, "need at least one noise dimension");
-        let dims = elements - signals;
-        let mut re = Vec::with_capacity(dims * elements);
-        let mut im = Vec::with_capacity(dims * elements);
+        self.elements = elements;
+        self.re.clear();
+        self.im.clear();
         for k in signals..elements {
             for m in 0..elements {
                 let z = eig.eigenvectors[(m, k)];
-                re.push(z.re);
-                im.push(z.im);
+                self.re.push(z.re);
+                self.im.push(z.im);
             }
         }
-        Self { elements, re, im }
     }
 
     /// Number of array elements (the length every probe vector must have).
@@ -68,32 +79,9 @@ impl NoiseSubspace {
         self.re.len().checked_div(self.elements).unwrap_or(0)
     }
 
-    /// The quadratic form `aᴴ·E_N·E_Nᴴ·a = Σ_k |e_kᴴ·a|²` for one probe
-    /// vector given as split re/im slices.
-    ///
-    /// # Panics
-    /// Panics if either slice length differs from [`Self::elements`].
-    pub(crate) fn projection_split(&self, a_re: &[f64], a_im: &[f64]) -> f64 {
-        let m = self.elements;
-        assert_eq!(a_re.len(), m, "probe length must match element count");
-        assert_eq!(a_im.len(), m, "probe length must match element count");
-        let mut total = 0.0;
-        for (er, ei) in self.re.chunks_exact(m).zip(self.im.chunks_exact(m)) {
-            let mut dr = 0.0;
-            let mut di = 0.0;
-            for j in 0..m {
-                // e_kᴴ·a — the eigenvector side carries the conjugate.
-                dr += er[j] * a_re[j] + ei[j] * a_im[j];
-                di += er[j] * a_im[j] - ei[j] * a_re[j];
-            }
-            total += dr * dr + di * di;
-        }
-        total
-    }
-
-    /// The quadratic form `aᴴ·E_N·E_Nᴴ·a` for one complex probe vector.
-    /// Bit-identical to `Self::projection_split` on the same values (the
-    /// accumulation order is the same).
+    /// The quadratic form `aᴴ·E_N·E_Nᴴ·a = Σ_k |e_kᴴ·a|²` for one complex
+    /// probe vector — the reference every batched probe must match bit
+    /// for bit.
     ///
     /// # Panics
     /// Panics if `a.len()` differs from [`Self::elements`].
@@ -106,6 +94,7 @@ impl NoiseSubspace {
             let mut dr = 0.0;
             let mut di = 0.0;
             for j in 0..m {
+                // e_kᴴ·a — the eigenvector side carries the conjugate.
                 dr += er[j] * s[j].re + ei[j] * s[j].im;
                 di += er[j] * s[j].im - ei[j] * s[j].re;
             }
@@ -114,28 +103,61 @@ impl NoiseSubspace {
         total
     }
 
-    /// Batched projection over a contiguous split-complex slab of `n`
-    /// probe vectors (`n × elements`, row-major): writes
-    /// `out[i] = Σ_k |e_kᴴ·a_i|²` for each row `a_i`. This is the sweep
-    /// kernel — one pass over cache-resident eigenvector rows per probe,
-    /// no temporaries.
+    /// Batched projection over a bin-minor split-complex slab: element
+    /// `j` of probe `i` sits at `slab_re[j * stride + i]` (and likewise in
+    /// `slab_im`). Writes `out[i] = Σ_k |e_kᴴ·a_i|²` for the first
+    /// `out.len()` probes. This is the sweep kernel: each pass computes
+    /// [`PROJECTION_BLOCK`] neighbouring probes from contiguous loads,
+    /// and every probe keeps the single-probe order of operations, so
+    /// `out[i]` is bit-identical to [`Self::projection`] on probe `i`.
     ///
     /// # Panics
-    /// Panics if the slab lengths are not `out.len() × elements` or the
-    /// re/im slabs disagree.
-    pub fn batch_projection(&self, slab_re: &[f64], slab_im: &[f64], out: &mut [f64]) {
+    /// Panics unless `stride` is a multiple of [`PROJECTION_BLOCK`] no
+    /// smaller than `out.len()` and both slabs hold `elements × stride`
+    /// values.
+    pub fn batch_projection(
+        &self,
+        slab_re: &[f64],
+        slab_im: &[f64],
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        const B: usize = PROJECTION_BLOCK;
         let m = self.elements;
-        assert_eq!(slab_re.len(), slab_im.len(), "re/im slabs must match");
-        assert_eq!(
-            slab_re.len(),
-            out.len() * m,
-            "slab must hold exactly out.len() probe vectors"
+        assert!(
+            stride.is_multiple_of(B) && stride >= out.len(),
+            "stride must be a block multiple covering every probe"
         );
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.projection_split(&slab_re[i * m..(i + 1) * m], &slab_im[i * m..(i + 1) * m]);
+        assert_eq!(slab_re.len(), m * stride, "slab must be elements × stride");
+        assert_eq!(slab_im.len(), m * stride, "slab must be elements × stride");
+        for (block, chunk) in out.chunks_mut(B).enumerate() {
+            let base = block * B;
+            let mut total = [0.0f64; B];
+            for (er, ei) in self.re.chunks_exact(m).zip(self.im.chunks_exact(m)) {
+                let mut dr = [0.0f64; B];
+                let mut di = [0.0f64; B];
+                for j in 0..m {
+                    let (erj, eij) = (er[j], ei[j]);
+                    let at = j * stride + base;
+                    let a_re: &[f64; B] = slab_re[at..at + B].try_into().expect("block");
+                    let a_im: &[f64; B] = slab_im[at..at + B].try_into().expect("block");
+                    for l in 0..B {
+                        dr[l] += erj * a_re[l] + eij * a_im[l];
+                        di[l] += erj * a_im[l] - eij * a_re[l];
+                    }
+                }
+                for l in 0..B {
+                    total[l] += dr[l] * dr[l] + di[l] * di[l];
+                }
+            }
+            chunk.copy_from_slice(&total[..chunk.len()]);
         }
     }
 }
+
+/// Probes per pass of [`NoiseSubspace::batch_projection`]; bin-minor
+/// slabs pad their stride to a multiple of it.
+pub const PROJECTION_BLOCK: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -197,37 +219,26 @@ mod tests {
     }
 
     #[test]
-    fn split_and_complex_probes_are_bit_identical() {
-        let m = 6;
-        let eig = eigh(&test_matrix(m)).unwrap();
-        let noise = NoiseSubspace::from_eigen(&eig, 2);
-        for t in 0..8 {
-            let a = CVector::from_fn(m, |i| Complex64::cis((i * t) as f64 * 0.51 + 0.1));
-            let re: Vec<f64> = a.iter().map(|z| z.re).collect();
-            let im: Vec<f64> = a.iter().map(|z| z.im).collect();
-            let x = noise.projection(&a);
-            let y = noise.projection_split(&re, &im);
-            assert_eq!(x.to_bits(), y.to_bits(), "t={t}");
-        }
-    }
-
-    #[test]
     fn batch_matches_single_probes_bit_exactly() {
         let m = 5;
-        let n = 13;
+        // Two full blocks and a ragged tail.
+        let n = 2 * PROJECTION_BLOCK + 3;
+        let stride = 3 * PROJECTION_BLOCK;
         let eig = eigh(&test_matrix(m)).unwrap();
         let noise = NoiseSubspace::from_eigen(&eig, 1);
-        let mut slab_re = Vec::new();
-        let mut slab_im = Vec::new();
+        let mut slab_re = vec![0.0; m * stride];
+        let mut slab_im = vec![0.0; m * stride];
         let mut singles = Vec::new();
         for i in 0..n {
             let a = CVector::from_fn(m, |j| Complex64::cis((i + j) as f64 * 0.23));
-            slab_re.extend(a.iter().map(|z| z.re));
-            slab_im.extend(a.iter().map(|z| z.im));
+            for (j, z) in a.iter().enumerate() {
+                slab_re[j * stride + i] = z.re;
+                slab_im[j * stride + i] = z.im;
+            }
             singles.push(noise.projection(&a));
         }
         let mut out = vec![0.0; n];
-        noise.batch_projection(&slab_re, &slab_im, &mut out);
+        noise.batch_projection(&slab_re, &slab_im, stride, &mut out);
         for (o, s) in out.iter().zip(&singles) {
             assert_eq!(o.to_bits(), s.to_bits());
         }

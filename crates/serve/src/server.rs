@@ -50,6 +50,7 @@ use crate::store::SessionPolicy;
 use at_config::{SystemConfig, TopologyOp};
 use at_core::health::HealthPolicy;
 use at_core::synthesis::{ApPose, SearchRegion};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -291,34 +292,39 @@ pub fn spawn_recorded(
         .collect::<io::Result<Vec<_>>>()?;
 
     let accept_stop = Arc::new(AtomicBool::new(false));
-    let conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>> = Arc::default();
-    let conn_socks: Arc<Mutex<Vec<TcpStream>>> = Arc::default();
+    let conns: Arc<Conns> = Arc::default();
     let acceptor = {
         let shared = Arc::clone(&shared);
         let admission = Arc::clone(&admission);
         let accept_stop = Arc::clone(&accept_stop);
-        let conn_threads = Arc::clone(&conn_threads);
-        let conn_socks = Arc::clone(&conn_socks);
+        let conns = Arc::clone(&conns);
         thread::Builder::new()
             .name("at-serve-acceptor".into())
             .spawn(move || {
-                for stream in listener.incoming() {
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
                     if accept_stop.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
                     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                     at_obs::count!("at_serve_connections_total");
-                    if let Ok(clone) = stream.try_clone() {
-                        conn_socks.lock().expect("registry poisoned").push(clone);
-                    }
+                    let sock = stream.try_clone().ok();
                     let shared = Arc::clone(&shared);
                     let admission = Arc::clone(&admission);
-                    if let Ok(handle) = thread::Builder::new()
-                        .name("at-serve-conn".into())
-                        .spawn(move || run_conn(stream, &shared, &admission))
+                    let registry = Arc::clone(&conns);
+                    // Registered under the lock the thread's own exit
+                    // needs, so the entry exists before it can be removed.
+                    let mut live = conns.lock().expect("registry poisoned");
+                    if let Ok(thread) =
+                        thread::Builder::new()
+                            .name("at-serve-conn".into())
+                            .spawn(move || {
+                                run_conn(stream, &shared, &admission);
+                                drop((shared, admission));
+                                registry.lock().expect("registry poisoned").remove(&id);
+                            })
                     {
-                        conn_threads.lock().expect("registry poisoned").push(handle);
+                        live.insert(id, Conn { sock, thread });
                     }
                 }
             })?
@@ -334,10 +340,24 @@ pub fn spawn_recorded(
         reaper: Some(reaper),
         reaper_stop,
         workers,
-        conn_threads,
-        conn_socks,
+        conns,
     })
 }
+
+/// One open connection: a clone of its socket, so shutdown can cut the
+/// read half, and its thread.
+struct Conn {
+    sock: Option<TcpStream>,
+    thread: thread::JoinHandle<()>,
+}
+
+/// The open connections by connection id. A connection removes its own
+/// entry as its last step, once `run_conn` has returned: that closes the
+/// socket clone and drops the handle of a thread with nothing left to
+/// report, so a server that outlives many connections holds resources
+/// only for the open ones. A connection that panics keeps its entry and
+/// is joined at shutdown.
+type Conns = Mutex<HashMap<u64, Conn>>;
 
 /// Stop flag + wakeup for the background reaper thread.
 #[derive(Default)]
@@ -393,8 +413,7 @@ pub struct ServerHandle {
     reaper: Option<thread::JoinHandle<()>>,
     reaper_stop: Arc<ReaperStop>,
     workers: Vec<thread::JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<thread::JoinHandle<()>>>>,
-    conn_socks: Arc<Mutex<Vec<TcpStream>>>,
+    conns: Arc<Conns>,
 }
 
 impl ServerHandle {
@@ -472,17 +491,22 @@ impl ServerHandle {
         //    one to its socket — so cut only the read half: blocked
         //    readers wake with EOF and exit their loop, while in-flight
         //    reply writes complete.
-        for sock in self.conn_socks.lock().expect("registry poisoned").drain(..) {
-            let _ = sock.shutdown(std::net::Shutdown::Read);
-        }
-        let handles: Vec<_> = self
-            .conn_threads
+        //    Joined outside the registry lock, which a closing connection
+        //    takes to remove itself.
+        let open: Vec<Conn> = self
+            .conns
             .lock()
             .expect("registry poisoned")
-            .drain(..)
+            .drain()
+            .map(|(_, conn)| conn)
             .collect();
-        for h in handles {
-            let _ = h.join();
+        for conn in &open {
+            if let Some(sock) = &conn.sock {
+                let _ = sock.shutdown(std::net::Shutdown::Read);
+            }
+        }
+        for conn in open {
+            let _ = conn.thread.join();
         }
     }
 }

@@ -47,6 +47,7 @@ fn unknown_stage_exits_2_and_lists_the_valid_stage_names() {
         "serve-sessions",
         "lint",
         "doc",
+        "perfbench",
         "bench-smoke",
     ] {
         assert!(stderr.contains(stage), "stage '{stage}' missing: {stderr}");
