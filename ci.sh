@@ -66,9 +66,11 @@
 #   serve        — the networked location service: wire-protocol unit +
 #                  property tests (decoder totality, bit-exact round trips)
 #                  and the loopback server tests (parity, shedding,
-#                  deadlines, drain, closed connections reaped: fds and RSS
-#                  flat over 2000 sequential connections), then
-#                  loadgen --smoke — a seconds-scale
+#                  deadlines checked by the worker before fusion, drain of
+#                  localizes queued behind one worker, closed connections
+#                  reaped: fds and RSS flat over 2000 sequential
+#                  connections, an acceptor out of fds backing off instead
+#                  of spinning), then loadgen --smoke — a seconds-scale
 #                  sustained/overload/mixed/drain run that fails on
 #                  throughput collapse, inert admission control, broken
 #                  keyed parity, a resident gauge over the session cap,

@@ -22,8 +22,9 @@
 //!    quantized path's per-key fix displacement is measured against the
 //!    raw fusion. The server's uplink accounting yields the
 //!    compression-ratio number committed to `BENCH_SERVE.json`.
-//! 4. **drain** — a request is parked mid-batch-window while the server
-//!    shuts down; graceful drain must still answer it with a fix.
+//! 4. **drain** — several keyed localizes queue behind a single worker
+//!    while the server shuts down; graceful drain must answer every one
+//!    with a fix or a typed `ShuttingDown`, never an I/O error or a hang.
 //!
 //! `--smoke` runs the same four phases at CI scale (seconds, not
 //! minutes) and exits non-zero if the sustained throughput collapses
@@ -39,8 +40,8 @@ use at_core::health::HealthPolicy;
 use at_core::synthesis::SearchRegion;
 use at_core::{AoaSpectrum, ArrayTrackServer};
 use at_serve::{
-    spawn, ApClient, AppClient, BatchPolicy, Client, ClientConfig, ClientError, Encoding,
-    ServeConfig, ServiceConfig, SessionPolicy,
+    spawn, ApClient, AppClient, Client, ClientConfig, ClientError, Encoding, ServeConfig,
+    ServiceConfig, SessionPolicy,
 };
 use at_testbed::office;
 use std::io::Write as _;
@@ -58,7 +59,7 @@ const BINS: usize = 720;
 
 /// Smoke gate: the sustained phase must clear this rate. Far below the
 /// committed baseline on purpose — the gate catches collapse (a lost
-/// batch path, an accidental serial queue), not scheduler noise.
+/// worker, an accidental serial queue), not scheduler noise.
 const SMOKE_MIN_RPS: f64 = 100.0;
 
 /// Percentile of a sample set, nearest-rank on the sorted copy.
@@ -198,10 +199,6 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        batch: BatchPolicy {
-            window: Duration::from_millis(1),
-            max_batch: 2,
-        },
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
@@ -259,27 +256,57 @@ fn run_overload(report: &Report, clients: usize, per_client: usize) -> OverloadR
     result
 }
 
-/// Drain phase: shutdown must answer the request parked in the batcher.
+/// Drain phase: shutdown cuts into keyed localizes queued behind one
+/// worker; every one must be answered with a fix or `ShuttingDown`, and
+/// the fixes must be exactly the server's count.
 fn run_drain(report: &Report) -> bool {
+    const REQUESTS: u64 = 8;
     let service = office_service();
     let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-        },
+        workers: 1,
         ..ServeConfig::default()
     };
     let server = spawn(service.clone(), cfg, "127.0.0.1:0").expect("spawn");
     let addr = server.addr();
-    let in_flight = thread::spawn(move || {
-        let mut c = primed_client(addr, &service, pt(14.0, 9.0), ClientConfig::default());
-        c.localize(None)
-    });
-    thread::sleep(Duration::from_millis(80));
+    let mut ap_conn = ApClient::connect(addr, ClientConfig::default()).expect("ap connect");
+    for key in 0..REQUESTS {
+        let target = pt(6.0 + 3.0 * key as f64, 9.0);
+        for ap in 0..service.poses.len() {
+            ap_conn
+                .submit(key, ap as u32, 0, &lobe_spectrum(&service, ap, target))
+                .expect("drain submit");
+        }
+    }
+    // Connected before shutdown starts, one request each, so every reply
+    // is written before the server cuts the connection's read half.
+    let no_retry = ClientConfig {
+        max_attempts: 1,
+        ..ClientConfig::default()
+    };
+    let in_flight: Vec<_> = (0..REQUESTS)
+        .map(|key| {
+            let mut app = AppClient::connect(addr, no_retry).expect("app connect");
+            thread::spawn(move || app.localize(key, None))
+        })
+        .collect();
+    let waited = Instant::now();
+    while server.stats().requests < REQUESTS && waited.elapsed() < Duration::from_secs(10) {
+        thread::sleep(Duration::from_micros(200));
+    }
     let stats = server.shutdown();
-    let drained = in_flight.join().expect("drain thread").is_ok() && stats.fixes == 1;
+    let (mut fixes, mut refused, mut broken) = (0u64, 0u64, 0u64);
+    for h in in_flight {
+        match h.join().expect("drain thread") {
+            Ok(_) => fixes += 1,
+            Err(ClientError::ShuttingDown) => refused += 1,
+            Err(_) => broken += 1,
+        }
+    }
+    let drained = broken == 0 && fixes == stats.fixes;
     report.line(format!(
-        "  drain: in-flight request answered during shutdown: {drained}"
+        "  drain: {REQUESTS} keyed localizes cut by shutdown -> {fixes} fixes \
+         (server counted {}), {refused} ShuttingDown, {broken} other: {drained}",
+        stats.fixes
     ));
     drained
 }
@@ -772,7 +799,7 @@ pub fn run_smoke() -> std::io::Result<()> {
         failures.push("lossless-delta replay diverged from the raw fix".into());
     }
     if !drained {
-        failures.push("graceful shutdown dropped an in-flight request".into());
+        failures.push("graceful shutdown left an in-flight request unanswered".into());
     }
     if failures.is_empty() {
         report.line("  serve-smoke: all gates passed");

@@ -124,12 +124,13 @@ impl SteeringTable {
     /// Values are clamped to be non-negative.
     pub(crate) fn scan(&self, f: impl Fn(&CVector) -> f64) -> AoaSpectrum {
         let bins = self.bins;
-        let half = bins / 2;
         let mut values = vec![0.0; bins];
         for (i, a) in self.vectors.iter().enumerate() {
             let p = f(a).max(0.0);
             values[i] = p;
-            if i != 0 && i != half {
+            // Bin 0 and, for an even count, bin bins/2 mirror onto
+            // themselves; an odd count has no such middle bin.
+            if i != 0 && 2 * i != bins {
                 values[bins - i] = p;
             }
         }
@@ -171,7 +172,7 @@ impl SteeringTable {
         for v in &mut values[..=half] {
             *v = (1.0 / v.max(1e-12)).max(0.0);
         }
-        for i in 1..half {
+        for i in 1..bins.div_ceil(2) {
             values[bins - i] = values[i];
         }
     }
@@ -342,6 +343,30 @@ mod tests {
             assert_eq!(spec.values()[i], direct, "bin {i}");
             if i != 0 && i != 180 {
                 assert_eq!(spec.values()[360 - i], direct, "mirror of bin {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn odd_bin_counts_mirror_every_bin() {
+        // An odd count has no bin at π: the stored half circle ends at
+        // bin bins/2 and its mirror bins − bins/2 is a distinct bin.
+        let a = ula_steering(6, 1.0);
+        let rxx = at_linalg::CMatrix::from_fn(6, 6, |r, c| {
+            a[r] * a[c].conj() + Complex64::new(if r == c { 0.1 } else { 0.0 }, 0.0)
+        });
+        let noise = NoiseSubspace::from_eigen(&at_linalg::eigh(&rxx).expect("hermitian"), 1);
+        for bins in [9, 721] {
+            let table = SteeringTable::new(6, bins);
+            let scanned = table.scan(|a| 1.0 + a.iter().map(|z| z.re).sum::<f64>().abs());
+            let projected = table.scan_projection(&noise);
+            for spec in [&scanned, &projected] {
+                let v = spec.values();
+                assert_eq!(v.len(), bins);
+                for k in 1..bins {
+                    assert!(v[k] > 0.0, "bins {bins}: bin {k} never written");
+                    assert_eq!(v[k], v[bins - k], "bins {bins}: bin {k} vs {}", bins - k);
+                }
             }
         }
     }

@@ -41,10 +41,12 @@ pub const ACQUIRE: &str = "acquire";
 /// decoded frame to the reply in hand: admission, queue dwell, fusion and
 /// outcome journaling. Wire decode and the reply write are outside it.
 pub const SERVE_REQUEST: &str = "serve_request";
-/// Admission-queue dwell plus batch gathering (at-serve batcher).
+/// Admission-queue dwell: from the push to the worker's pop (at-serve
+/// worker).
 pub const SERVE_QUEUE: &str = "serve_queue";
-/// One worker's pass over a batch of localize requests, one engine sweep
-/// per request (at-serve worker).
+/// One worker's pass over one localize request: the deadline check, the
+/// engine sweep and the reply hand-off (at-serve worker). The name
+/// predates workers popping single requests; one pass is one request.
 pub const SERVE_BATCH: &str = "serve_batch";
 
 /// Every stage name, in pipeline order.

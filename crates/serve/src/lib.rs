@@ -12,16 +12,15 @@
 //!   log-domain quantization with a delta/varint/run-length tail for the
 //!   AP uplink (~10× smaller), plus a lossless XOR-delta mode for
 //!   bit-exact replay; the decompressor is total like the frame decoder;
-//! - [`queue`] — bounded closing queues, the backpressure primitive;
-//! - [`batch`] — the fixed gathering window that hands concurrent
-//!   localize requests to a worker as one job;
+//! - [`queue`] — the bounded closing admission queue that fusion workers
+//!   pop directly;
 //! - [`service`] — [`ServiceCore`], the state machine (epoch, session
 //!   [`store`], AP health, capture tap) that the server drives live and
 //!   `at-replay` drives from a journal;
 //! - [`server`] — the thread-pool TCP server around that core: admission
 //!   control that sheds load with typed `Overloaded` frames instead of
 //!   queuing unboundedly, client-propagated deadlines enforced before the
-//!   expensive stages, request batching, and drain-then-stop shutdown;
+//!   expensive fusion sweep, and drain-then-stop shutdown;
 //! - [`client`] — a blocking client with the same bounded-attempts retry
 //!   discipline as the testbed's acquisition layer.
 //!
@@ -35,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod codec;
 pub mod proto;
@@ -44,7 +42,6 @@ pub mod server;
 pub mod service;
 pub mod store;
 
-pub use batch::BatchPolicy;
 pub use client::{
     ApClient, AppClient, Client, ClientConfig, ClientError, RemoteFix, RemoteTopology,
 };

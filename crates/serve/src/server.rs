@@ -1,15 +1,13 @@
 //! The thread-pool TCP location server: sockets, threads and queues
 //! around the [`ServiceCore`] state machine.
 //!
-//! Request path (one bounded queue between each pair of stages, so every
-//! stage applies backpressure to the one before it):
+//! Request path (one bounded queue, the only place a request waits):
 //!
 //! ```text
-//! conn threads ──try_push──▶ admission queue ──▶ batcher ──push──▶ exec
-//!   (1/socket)    shed ⇒ Overloaded        (gather ≤ window)     queue
-//!                                                               │
-//!                                         workers ◀─────────────┘
-//!                      (Query::fuse per request, one scratch each)
+//! conn threads ──try_push──▶ admission queue ──pop──▶ workers
+//!   (1/socket)    shed ⇒ Overloaded                (Query::fuse per
+//!                                                   request, one scratch
+//!                                                   each)
 //! ```
 //!
 //! - **Admission control** is the `try_push` edge: when the admission
@@ -17,21 +15,19 @@
 //!   [`Frame::Overloaded`] carrying a retry hint — the server never queues
 //!   unboundedly and stays responsive under any offered load.
 //! - **Deadlines** travel from the client as a relative budget; the clock
-//!   starts at frame receipt and is checked at every stage boundary
+//!   starts at frame receipt and is checked once, by the worker, just
 //!   *before* the expensive fusion sweep, so a request that can no longer
 //!   make its deadline costs a queue slot, not an engine walk.
-//! - **Batching** gathers localize requests arriving within
-//!   [`BatchPolicy::window`] into one hand-off to a worker, which fuses
-//!   them one engine sweep each. The exec queue holds one waiting batch
-//!   per worker.
+//! - **Workers** pop the admission queue directly and fuse one request
+//!   at a time on their own warm scratch: a fix waits for a free worker,
+//!   never for company.
 //! - **Reconfiguration** never stalls traffic: each admitted request
 //!   holds the topology epoch it was admitted under and fuses on it, so
 //!   a [`Frame::Reconfigure`] swaps the epoch without shedding or
 //!   draining anything.
 //! - **Shutdown** is drain-then-stop: the admission queue closes (new
 //!   requests see [`Frame::ShuttingDown`]), everything already admitted is
-//!   fused and answered, then the stage threads and connections wind down
-//!   in pipeline order.
+//!   fused and answered by the workers, then the connections wind down.
 //!
 //! Admission and fusion are the core's, the same code `at-replay` drives
 //! from a journal and `ArrayTrackServer::try_localize` fuses with, so a
@@ -39,7 +35,6 @@
 //! deployments surface the same [`at_core::health::LocalizeError`] values
 //! over the wire.
 
-use crate::batch::{gather, BatchPolicy};
 use crate::codec::{self, CompressedMode, Encoding};
 use crate::proto::{self, Frame, ReadError, HEADER_LEN};
 use crate::queue::Bounded;
@@ -93,16 +88,15 @@ impl ServiceConfig {
     }
 }
 
-/// Server runtime shape: thread counts, queue depths, batching.
+/// Server runtime shape: thread count, queue depth, session residency.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
-    /// Fusion worker threads; also the exec queue's depth, in batches.
+    /// Fusion worker threads, each popping the admission queue and fusing
+    /// one request at a time.
     pub workers: usize,
     /// Admission queue depth — the *only* place requests wait; beyond it
     /// they are shed with [`Frame::Overloaded`].
     pub admission_depth: usize,
-    /// Gathering policy for localize requests.
-    pub batch: BatchPolicy,
     /// Residency policy of the keyed session store (idle timeout,
     /// resident-spectra cap, reaper cadence).
     pub session: SessionPolicy,
@@ -113,17 +107,16 @@ impl Default for ServeConfig {
         Self {
             workers: 4,
             admission_depth: 64,
-            batch: BatchPolicy::default(),
             session: SessionPolicy::default(),
         }
     }
 }
 
 impl ServeConfig {
-    /// Checks the runtime shape: at least one worker, a non-zero
-    /// admission depth, and a batch of at least one request. The error
-    /// says which rule was broken. (The session policy is checked with the
-    /// rest of the [`SystemConfig`] when the service starts.)
+    /// Checks the runtime shape: at least one worker and a non-zero
+    /// admission depth. The error says which rule was broken. (The
+    /// session policy is checked with the rest of the [`SystemConfig`]
+    /// when the service starts.)
     pub(crate) fn check(&self) -> Result<(), &'static str> {
         if self.workers < 1 {
             return Err("need at least one worker");
@@ -131,14 +124,11 @@ impl ServeConfig {
         if self.admission_depth < 1 {
             return Err("admission queue needs depth");
         }
-        if self.batch.max_batch < 1 {
-            return Err("a batch holds at least one request");
-        }
         Ok(())
     }
 }
 
-/// One admitted localize request traveling through the stage queues.
+/// One admitted localize request waiting in the admission queue.
 struct Job {
     query: Query,
     /// Absolute expiry (frame receipt + the client's relative budget).
@@ -220,12 +210,12 @@ struct Shared {
 ///
 /// Binds `addr` (use port 0 for an ephemeral loopback port), precomputes
 /// the localization engine for the deployment, and starts the acceptor,
-/// batcher, and worker threads. The server runs until
+/// reaper and worker threads. The server runs until
 /// [`ServerHandle::shutdown`] (or drop).
 ///
 /// # Errors
-/// `InvalidInput` if `cfg` has no worker, a zero admission depth or a
-/// zero `batch.max_batch`, or if the service config fails validation;
+/// `InvalidInput` if `cfg` has no worker or a zero admission depth, or if
+/// the service config fails validation;
 /// otherwise any bind or thread-spawn error.
 pub fn spawn(
     service: ServiceConfig,
@@ -259,18 +249,6 @@ pub fn spawn_recorded(
         stats: Stats::default(),
     });
     let admission = Arc::new(Bounded::new(cfg.admission_depth, "admission"));
-    // One waiting batch per worker keeps every worker fed while the
-    // batcher gathers the next batch.
-    let exec: Arc<Bounded<Vec<Job>>> = Arc::new(Bounded::new(cfg.workers, "exec"));
-
-    let batcher = {
-        let admission = Arc::clone(&admission);
-        let exec = Arc::clone(&exec);
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("at-serve-batcher".into())
-            .spawn(move || run_batcher(&admission, &exec, &shared, &cfg.batch))?
-    };
 
     let reaper_stop = Arc::new(ReaperStop::default());
     let reaper = {
@@ -283,11 +261,11 @@ pub fn spawn_recorded(
 
     let workers = (0..cfg.workers)
         .map(|i| {
-            let exec = Arc::clone(&exec);
+            let admission = Arc::clone(&admission);
             let shared = Arc::clone(&shared);
             thread::Builder::new()
                 .name(format!("at-serve-worker-{i}"))
-                .spawn(move || run_worker(&exec, &shared))
+                .spawn(move || run_worker(&admission, &shared))
         })
         .collect::<io::Result<Vec<_>>>()?;
 
@@ -305,7 +283,12 @@ pub fn spawn_recorded(
                     if accept_stop.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(stream) = stream else {
+                        // The failed connection (say, on EMFILE) stays in
+                        // the backlog: an immediate retry would spin.
+                        thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
                     shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                     at_obs::count!("at_serve_connections_total");
                     let sock = stream.try_clone().ok();
@@ -336,13 +319,15 @@ pub fn spawn_recorded(
         admission,
         accept_stop,
         acceptor: Some(acceptor),
-        batcher: Some(batcher),
         reaper: Some(reaper),
         reaper_stop,
         workers,
         conns,
     })
 }
+
+/// How long the acceptor waits after a failed `accept` before retrying.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// One open connection: a clone of its socket, so shutdown can cut the
 /// read half, and its thread.
@@ -409,7 +394,6 @@ pub struct ServerHandle {
     admission: Arc<Bounded<Job>>,
     accept_stop: Arc<AtomicBool>,
     acceptor: Option<thread::JoinHandle<()>>,
-    batcher: Option<thread::JoinHandle<()>>,
     reaper: Option<thread::JoinHandle<()>>,
     reaper_stop: Arc<ReaperStop>,
     workers: Vec<thread::JoinHandle<()>>,
@@ -468,9 +452,9 @@ impl ServerHandle {
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
         }
-        // 3. The batcher drains the admission queue, then closes exec;
-        //    workers drain exec, answering every in-flight request. The
-        //    reaper just stops — resident sessions die with the store.
+        // 3. Workers drain the admission queue, answering every admitted
+        //    request, and exit once it is empty. The reaper just stops —
+        //    resident sessions die with the store.
         *self
             .reaper_stop
             .stopped
@@ -478,9 +462,6 @@ impl ServerHandle {
             .expect("reaper stop poisoned") = true;
         self.reaper_stop.cv.notify_all();
         if let Some(h) = self.reaper.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
@@ -741,7 +722,7 @@ fn handle_localize(
         reply: reply_tx,
     };
     let reply = match admission.try_push(job) {
-        // `Err`: the pipeline dropped the job mid-shutdown unanswered.
+        // `Err`: a worker dropped the job unanswered (it panicked).
         Ok(()) => reply_rx.recv().unwrap_or(Frame::ShuttingDown),
         Err(_) => shed(shared),
     };
@@ -781,60 +762,20 @@ fn handle_reconfigure(shared: &Shared, op: TopologyOp) -> Frame {
     info
 }
 
-fn expire_deadline(shared: &Shared, job: &Job, now: Instant) -> bool {
-    if job.deadline.is_some_and(|d| d <= now) {
-        shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        at_obs::count!("at_serve_deadline_missed_total");
-        let _ = job.reply.send(Frame::DeadlineExceeded);
-        return true;
-    }
-    false
-}
-
-fn run_batcher(
-    admission: &Bounded<Job>,
-    exec: &Bounded<Vec<Job>>,
-    shared: &Shared,
-    policy: &BatchPolicy,
-) {
+fn run_worker(admission: &Bounded<Job>, shared: &Shared) {
     let dwell = at_obs::stages::stage_histogram(at_obs::stages::SERVE_QUEUE);
-    while let Some(batch) = gather(admission, policy) {
-        // A request that expired while queued must not occupy a batch slot.
-        let now = Instant::now();
-        for job in &batch {
-            dwell.observe(now.saturating_duration_since(job.enqueued).as_secs_f64());
-        }
-        let live: Vec<Job> = batch
-            .into_iter()
-            .filter(|job| !expire_deadline(shared, job, now))
-            .collect();
-        if live.is_empty() {
-            continue;
-        }
-        if let Err(refused) = exec.push(live) {
-            // Only possible mid-shutdown; answer rather than drop.
-            for job in refused {
-                let _ = job.reply.send(Frame::ShuttingDown);
-            }
-        }
-    }
-    // Admission is closed and drained: signal the workers.
-    exec.close();
-}
-
-fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
     // Reused job after job: a warm worker's fusion arena never regrows.
     let mut scratch = FuseScratch::default();
-    while let Some(batch) = exec.pop() {
-        let _t = at_obs::time_stage!(
-            at_obs::stages::SERVE_BATCH,
-            "requests" => batch.len(),
-        );
-        for job in batch {
-            // Last deadline check before the expensive sweep.
-            if expire_deadline(shared, &job, Instant::now()) {
-                continue;
-            }
+    while let Some(job) = admission.pop() {
+        let now = Instant::now();
+        dwell.observe(now.saturating_duration_since(job.enqueued).as_secs_f64());
+        let _t = at_obs::time_stage!(at_obs::stages::SERVE_BATCH);
+        // The one deadline check, just before the expensive sweep.
+        let frame = if job.deadline.is_some_and(|d| d <= now) {
+            shared.stats.deadline_missed.fetch_add(1, Ordering::Relaxed);
+            at_obs::count!("at_serve_deadline_missed_total");
+            Frame::DeadlineExceeded
+        } else {
             let frame = job.query.fuse(&mut scratch);
             if matches!(frame, Frame::Fix { .. }) {
                 shared.stats.fixes.fetch_add(1, Ordering::Relaxed);
@@ -843,7 +784,8 @@ fn run_worker(exec: &Bounded<Vec<Job>>, shared: &Shared) {
                 shared.stats.failures.fetch_add(1, Ordering::Relaxed);
                 at_obs::count!("at_serve_responses_total", "result" => "failed");
             }
-            let _ = job.reply.send(frame);
-        }
+            frame
+        };
+        let _ = job.reply.send(frame);
     }
 }

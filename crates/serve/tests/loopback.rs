@@ -6,11 +6,14 @@ use at_channel::geometry::{pt, Point};
 use at_core::health::{ApStatus, HealthPolicy, LocalizeError};
 use at_core::synthesis::{ApPose, SearchRegion};
 use at_core::{AoaSpectrum, ArrayTrackServer};
-use at_serve::{spawn, BatchPolicy, Client, ClientConfig, ClientError, ServeConfig, ServiceConfig};
+use at_serve::{
+    spawn, spawn_recorded, ApClient, AppClient, Client, ClientConfig, ClientError, ClientKey,
+    Frame, RecordTap, ServeConfig, ServiceConfig,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BINS: usize = 360;
 
@@ -189,10 +192,6 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
     let cfg = ServeConfig {
         workers: 1,
         admission_depth: 1,
-        batch: BatchPolicy {
-            window: Duration::from_millis(1),
-            max_batch: 2,
-        },
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
@@ -248,64 +247,109 @@ fn overload_sheds_with_typed_frames_and_server_stays_responsive() {
     assert!(stats.fixes >= fixed as u64);
 }
 
+/// A record tap that takes `delay` to admit each keyed query and ignores
+/// everything else.
+struct SlowQueryTap {
+    delay: Duration,
+}
+
+impl RecordTap for SlowQueryTap {
+    fn submit(&self, _: ClientKey, _: u32, _: u64, _: &AoaSpectrum) {}
+    fn failure(&self, _: u32) {}
+    fn query(&self, _: ClientKey, _: u32) -> u64 {
+        thread::sleep(self.delay);
+        0
+    }
+    fn outcome(&self, _: u64, _: &Frame) {}
+    fn tick(&self) {}
+    fn idle_reap(&self, _: &[ClientKey]) {}
+    fn epoch_change(&self, _: u64, _: u64, _: &at_config::TopologyOp) {}
+}
+
 #[test]
 fn queued_past_deadline_requests_are_dropped_before_fusion() {
-    // A long batching window guarantees the request's 5 ms budget expires
-    // while it waits for batch companions that never come.
-    let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(120),
-            max_batch: 8,
-        },
-        ..ServeConfig::default()
-    };
-    let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
-    let mut c = client(server.addr());
-    c.submit(0, 0, &lobe_spectrum(0, pt(5.0, 5.0)))
-        .expect("submit");
-    match c.localize(Some(Duration::from_millis(5))) {
+    // The deadline is stamped at frame receipt, before the tap admits the
+    // query; a tap slower than the 5 ms budget hands the worker a request
+    // that has already expired, whatever the scheduling.
+    let tap = Arc::new(SlowQueryTap {
+        delay: Duration::from_millis(20),
+    });
+    let server = spawn_recorded(
+        service(HealthPolicy::default()),
+        ServeConfig::default(),
+        "127.0.0.1:0",
+        Some(tap),
+    )
+    .expect("spawn");
+    let target = pt(5.0, 5.0);
+    let mut ap = ApClient::connect(server.addr(), ClientConfig::default()).expect("ap connect");
+    for id in 0..4u32 {
+        ap.submit(7, id, 0, &lobe_spectrum(id as usize, target))
+            .expect("submit");
+    }
+    let mut app = AppClient::connect(server.addr(), ClientConfig::default()).expect("connect");
+    match app.localize(7, Some(Duration::from_millis(5))) {
         Err(ClientError::DeadlineExceeded) => {}
         other => panic!("wanted DeadlineExceeded, got {other:?}"),
     }
-    // Without a deadline the same session localizes fine.
-    c.localize(None).expect("fix without deadline");
     let stats = server.shutdown();
     assert_eq!(stats.deadline_missed, 1);
-    assert_eq!(stats.fixes, 1);
+    assert_eq!(stats.fixes, 0, "an expired request must not be fused");
 }
 
 #[test]
 fn shutdown_drains_in_flight_requests_then_refuses_new_ones() {
+    const REQUESTS: u64 = 8;
     let target = pt(15.0, 2.0);
-    // A long window keeps the admitted request in the batcher while we
-    // shut down: it must still be answered.
+    // One worker: concurrent localizes queue behind each other, so the
+    // shutdown below cuts into requests still waiting for the worker.
     let cfg = ServeConfig {
-        batch: BatchPolicy {
-            window: Duration::from_millis(300),
-            max_batch: 8,
-        },
+        workers: 1,
         ..ServeConfig::default()
     };
     let server = spawn(service(HealthPolicy::default()), cfg, "127.0.0.1:0").expect("spawn");
     let addr = server.addr();
-
-    let in_flight = thread::spawn(move || {
-        let mut c = Client::connect(addr, ClientConfig::default()).expect("connect");
-        for ap in 0..4u32 {
-            c.submit(ap, 0, &lobe_spectrum(ap as usize, target))
+    let mut ap = ApClient::connect(addr, ClientConfig::default()).expect("ap connect");
+    for key in 0..REQUESTS {
+        for id in 0..4u32 {
+            ap.submit(key, id, 0, &lobe_spectrum(id as usize, target))
                 .expect("submit");
         }
-        c.localize(None)
-    });
-    // Let the request get admitted, then pull the plug mid-batch-window.
-    thread::sleep(Duration::from_millis(80));
+    }
+    // Connected before shutdown starts, one request each: every reply is
+    // written before the server cuts the connection's read half.
+    let no_retry = ClientConfig {
+        max_attempts: 1,
+        ..ClientConfig::default()
+    };
+    let in_flight: Vec<_> = (0..REQUESTS)
+        .map(|key| {
+            let mut app = AppClient::connect(addr, no_retry).expect("app connect");
+            thread::spawn(move || app.localize(key, None))
+        })
+        .collect();
+    // Shut down once every request has reached the server.
+    let waited = Instant::now();
+    while server.stats().requests < REQUESTS {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "requests never arrived"
+        );
+        thread::sleep(Duration::from_micros(200));
+    }
     let stats = server.shutdown();
-    let fix = in_flight
-        .join()
-        .expect("client thread")
-        .expect("in-flight request must drain to a fix");
-    assert!(fix.position.x.is_finite() && fix.position.y.is_finite());
-    assert_eq!(stats.fixes, 1);
+    let mut fixes = 0;
+    for h in in_flight {
+        match h.join().expect("client thread") {
+            Ok(fix) => {
+                assert!(fix.position.x.is_finite() && fix.position.y.is_finite());
+                fixes += 1;
+            }
+            Err(ClientError::ShuttingDown) => {}
+            Err(e) => panic!("an admitted request must drain to a fix or ShuttingDown: {e}"),
+        }
+    }
+    assert_eq!(fixes, stats.fixes);
 
     // The listener is gone: a fresh connection is refused outright.
     assert!(Client::connect(
@@ -364,13 +408,6 @@ fn bad_serve_config_is_refused_typed_not_a_panic() {
         },
         ServeConfig {
             admission_depth: 0,
-            ..ServeConfig::default()
-        },
-        ServeConfig {
-            batch: BatchPolicy {
-                window: Duration::from_millis(1),
-                max_batch: 0,
-            },
             ..ServeConfig::default()
         },
     ];

@@ -9,9 +9,9 @@
 //! Each "client" here is a session on the wire: the testbed captures the
 //! client's transmission at all six APs through the full radio +
 //! calibration + MUSIC path, submits the processed spectra into the
-//! session, and asks the server for a fix. The server hands concurrent
-//! requests to its workers in batches, enforces deadlines, and sheds load
-//! when its queues fill (none of that triggers here — three polite
+//! session, and asks the server for a fix. The server's fusion workers
+//! pop admitted requests straight off a bounded queue, enforce deadlines,
+//! and the queue sheds load when it fills (none of that triggers here — three polite
 //! clients — but the loadgen bench exercises it; see `BENCH_SERVE.json`).
 
 use arraytrack::core::health::HealthPolicy;

@@ -446,7 +446,6 @@ fn shed_queries_are_journaled_with_their_overloaded_outcome() {
             workers: 1,
             admission_depth: 1,
             session,
-            ..ServeConfig::default()
         },
         "127.0.0.1:0",
         Some(tap),
