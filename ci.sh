@@ -81,8 +81,11 @@
 #   serve-sessions — the multi-process ingestion tier: six AP connections +
 #                  concurrent app readers (tests/serve_sessions.rs: keyed
 #                  parity, idle/cap eviction, silent-AP quorum errors, the
-#                  session-store golden fixture) plus the barrier-driven
-#                  store interleaving tests (no torn spectra)
+#                  session-store golden fixture), the barrier-driven
+#                  store interleaving tests (no torn spectra) and the
+#                  model-based store property test (random submit/
+#                  snapshot/clear/tick/remap streams vs a plain model:
+#                  counts, aged snapshots, eviction order)
 #   perfbench    — the repo benchmark's own tests (perfbench/ is a Cargo
 #                  package of its own, so no other gate builds it), chief
 #                  among them decomposition_is_bit_identical_to_process_frame:
@@ -175,6 +178,7 @@ serve() {
 serve_sessions() {
     cargo test -q --test serve_sessions
     cargo test -q -p at-serve --test store_interleave
+    cargo test -q -p at-serve --test store_model
 }
 
 lint() {

@@ -74,9 +74,6 @@ pub struct SessionPolicy {
     /// ages every resident spectrum by one, feeding
     /// `HealthPolicy::max_spectrum_age`.
     pub refresh_interval: Duration,
-    /// Shard count (keys hash across shards; more shards, less writer
-    /// contention).
-    pub shards: usize,
 }
 
 impl Default for SessionPolicy {
@@ -86,7 +83,6 @@ impl Default for SessionPolicy {
             max_resident_spectra: 1 << 16,
             reap_interval: Duration::from_millis(250),
             refresh_interval: Duration::from_secs(1),
-            shards: 16,
         }
     }
 }
@@ -96,9 +92,6 @@ impl SessionPolicy {
     pub fn check(&self) -> Result<(), ConfigError> {
         if self.max_resident_spectra < 1 {
             return Err(ConfigError::Session("the cap must admit spectra"));
-        }
-        if self.shards < 1 {
-            return Err(ConfigError::Session("the store needs at least one shard"));
         }
         if self.reap_interval.is_zero() || self.refresh_interval.is_zero() {
             return Err(ConfigError::Session("reaper cadences must be non-zero"));
@@ -390,7 +383,10 @@ impl SystemConfig {
         put_u64(&mut out, self.session.max_resident_spectra as u64);
         put_u64(&mut out, duration_us(self.session.reap_interval));
         put_u64(&mut out, duration_us(self.session.refresh_interval));
-        put_u32(&mut out, self.session.shards as u32);
+        // A reserved u32 of 16: the session store's former shard count,
+        // always 16 outside tests. Keeping it keeps recorded fingerprints
+        // valid.
+        put_u32(&mut out, 16);
         out
     }
 
@@ -434,8 +430,8 @@ impl SystemConfig {
                 .map_err(|_| ConfigError::Malformed("cap overflows usize"))?,
             reap_interval: Duration::from_micros(c.u64("reap_interval")?),
             refresh_interval: Duration::from_micros(c.u64("refresh_interval")?),
-            shards: c.u32("shards")? as usize,
         };
+        let _reserved = c.u32("reserved")?;
         if !c.done() {
             return Err(ConfigError::Malformed("trailing bytes"));
         }

@@ -258,10 +258,10 @@ pub(crate) const SCRATCH_GROW_COUNTER: &str = "at_localize_scratch_grow_total";
 ///
 /// Ownership model: one scratch per *thread of execution*. Engine entry
 /// points that don't take a scratch borrow a thread-local default, so
-/// every caller gets recycling for free; the serve tier's exec workers
-/// pass explicit arenas through `fuse_with_scratch`. A scratch is bound to no particular
-/// engine — it adapts to whatever engine/query shape it is used with,
-/// growing monotonically to the largest shape seen.
+/// every caller gets recycling for free; each at-serve fusion worker
+/// passes its own arena through `fuse_with_scratch`. A scratch is bound
+/// to no particular engine — it adapts to whatever engine/query shape it
+/// is used with, growing monotonically to the largest shape seen.
 #[derive(Clone, Debug, Default)]
 pub struct LocalizeScratch {
     /// Normalized owned observations for exact re-evaluation / hill climb

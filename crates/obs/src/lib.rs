@@ -10,9 +10,9 @@
 //!   fixed-bucket histograms (p50/p95/p99); hot-path recording is plain
 //!   relaxed atomics, handles are cached per call site by the
 //!   [`time_stage!`] / [`count!`] macros.
-//! - [`trace`] — a structured tracing facade: spans with stage/AP/client
-//!   fields, delivered to a ring-buffer subscriber or a JSON-lines sink.
-//!   Off by default; one atomic load when off.
+//! - [`trace`] — a structured tracing facade: [`StageSpan`]s with
+//!   stage/AP/client fields, delivered to an installed sink such as the
+//!   ring-buffer subscriber. Off by default; one atomic load when off.
 //! - [`snapshot`] — deterministic [`MetricsSnapshot`]s exportable as
 //!   Prometheus text and JSON, with a human-readable diff.
 //! - [`stages`] — the canonical stage names (Figure 1's flow) and the
@@ -42,4 +42,4 @@ pub use budget::{BudgetViolation, LatencyBudget};
 pub use metrics::{global, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use snapshot::MetricsSnapshot;
 pub use stages::StageSpan;
-pub use trace::{clear_sink, set_sink, span, RingBufferSink, Span, SpanRecord, TraceSink};
+pub use trace::{clear_sink, set_sink, RingBufferSink, SpanRecord, TraceSink};

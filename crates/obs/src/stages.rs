@@ -169,6 +169,50 @@ macro_rules! count {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{clear_sink, set_sink, RingBufferSink};
+    use std::sync::Mutex;
+
+    // Trace-sink state is process-global; serialize the tests that install
+    // or clear it.
+    static SINK_GUARD: Mutex<()> = Mutex::new(());
+
+    #[test]
+    fn spans_deliver_to_installed_sink() {
+        let _g = SINK_GUARD.lock().unwrap();
+        let ring = Arc::new(RingBufferSink::new(64));
+        set_sink(ring.clone());
+        {
+            let _s = StageSpan::new("unit_sink_stage")
+                .field("ap", 3)
+                .field("client", 7);
+        }
+        clear_sink();
+        // Other tests' spans may land in the ring while it is installed.
+        let recs: Vec<SpanRecord> = ring
+            .records()
+            .into_iter()
+            .filter(|r| r.name == "unit_sink_stage")
+            .collect();
+        assert_eq!(recs.len(), 1);
+        assert_eq!(
+            recs[0].fields,
+            vec![
+                ("stage", "unit_sink_stage".to_string()),
+                ("ap", "3".to_string()),
+                ("client", "7".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn disabled_tracing_skips_fields_and_delivery() {
+        let _g = SINK_GUARD.lock().unwrap();
+        clear_sink();
+        let s = StageSpan::new("unit_quiet_stage").field("k", "v");
+        assert!(s.fields.is_empty(), "fields must not materialize when off");
+        drop(s);
+        assert!(!tracing_enabled());
+    }
 
     #[test]
     fn stage_span_records_into_global_histogram() {

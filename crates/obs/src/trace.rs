@@ -1,15 +1,15 @@
-//! The structured tracing facade: spans with stage/AP/client fields and a
-//! ring-buffer subscriber.
+//! The structured tracing facade: a process-wide sink that receives each
+//! finished [`StageSpan`](crate::stages::StageSpan) with its
+//! stage/AP/client fields, and a ring-buffer subscriber.
 //!
 //! Tracing is **off by default** and costs one relaxed atomic load per
 //! span when off — the hot path's only mandatory work is the histogram
-//! observation a [`StageSpan`](crate::stages::StageSpan) records. When a
-//! sink is installed (a ring buffer for tests and postmortems), finished
-//! spans are delivered to it as [`SpanRecord`]s.
+//! observation a `StageSpan` records. When a sink is installed (a ring
+//! buffer for tests and postmortems), finished spans are delivered to it
+//! as [`SpanRecord`]s.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
 
 /// A finished span, as delivered to sinks.
 #[derive(Clone, Debug, PartialEq)]
@@ -119,53 +119,9 @@ pub(crate) fn deliver(rec: SpanRecord) {
     }
 }
 
-/// An in-flight span. Create via [`span`]; it reports itself on drop.
-/// Field formatting is skipped entirely when no sink is installed.
-#[derive(Debug)]
-pub struct Span {
-    name: &'static str,
-    fields: Vec<(&'static str, String)>,
-    start: Instant,
-}
-
-/// Opens a span named `name`.
-pub fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        fields: Vec::new(),
-        start: Instant::now(),
-    }
-}
-
-impl Span {
-    /// Attaches a structured field (no-op unless a sink is installed).
-    #[cfg(test)]
-    pub(crate) fn field(mut self, key: &'static str, value: impl std::fmt::Display) -> Self {
-        if tracing_enabled() {
-            self.fields.push((key, value.to_string()));
-        }
-        self
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if tracing_enabled() {
-            deliver(SpanRecord {
-                name: self.name,
-                fields: std::mem::take(&mut self.fields),
-                duration_ns: self.start.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Trace-sink state is process-global; serialize the tests that touch it.
-    static GUARD: Mutex<()> = Mutex::new(());
 
     #[test]
     fn ring_buffer_evicts_oldest() {
@@ -181,32 +137,6 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].duration_ns, 1);
         assert_eq!(recs[1].duration_ns, 2);
-    }
-
-    #[test]
-    fn spans_deliver_to_installed_sink() {
-        let _g = GUARD.lock().unwrap();
-        let ring = Arc::new(RingBufferSink::new(8));
-        set_sink(ring.clone());
-        {
-            let _s = span("unit_stage").field("ap", 3).field("client", 7);
-        }
-        clear_sink();
-        let recs = ring.records();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].name, "unit_stage");
-        assert_eq!(recs[0].fields[0], ("ap", "3".to_string()));
-        assert_eq!(recs[0].fields[1], ("client", "7".to_string()));
-    }
-
-    #[test]
-    fn disabled_tracing_skips_fields_and_delivery() {
-        let _g = GUARD.lock().unwrap();
-        clear_sink();
-        let s = span("quiet").field("k", "v");
-        assert!(s.fields.is_empty(), "fields must not materialize when off");
-        drop(s);
-        assert!(!tracing_enabled());
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub struct ClientConfig {
     pub io_timeout: Option<Duration>,
     /// Total attempts for connect and for overloaded localize calls —
     /// the same budget as the testbed's `AcquireConfig::max_attempts`.
+    /// Zero is refused before dialing, as an `InvalidInput` I/O error.
     pub max_attempts: u32,
     /// Backoff between attempts (the server's `retry_after_ms` hint is
     /// used instead when it is longer).
@@ -167,7 +168,12 @@ impl Client {
     }
 
     fn connect_resolved(addrs: Vec<SocketAddr>, cfg: ClientConfig) -> Result<Self, ClientError> {
-        assert!(cfg.max_attempts >= 1, "need at least one attempt");
+        if cfg.max_attempts < 1 {
+            return Err(ClientError::Io(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "need at least one attempt",
+            )));
+        }
         if addrs.is_empty() {
             return Err(ClientError::Io(io::Error::new(
                 io::ErrorKind::AddrNotAvailable,

@@ -225,10 +225,11 @@ pub enum Frame {
         text: String,
     },
     /// Admin → server (version 5): change the deployment topology on a
-    /// live server — add, remove, or move one AP. The server drains
-    /// in-flight localizes onto the old epoch, rebuilds for the new one
-    /// (reusing per-AP steering grids for unchanged APs), remaps the
-    /// session store and health tracker, and answers with
+    /// live server — add, remove, or move one AP. The server builds the
+    /// new epoch (reusing per-AP steering grids for unchanged APs),
+    /// remaps the session store and health tracker, and publishes it;
+    /// localizes admitted before the swap still fuse on the epoch they
+    /// were admitted under, none is shed. It answers with
     /// [`Frame::TopologyInfo`] describing the new epoch. An invalid op
     /// (bad AP id, removing the last AP, non-finite pose) is refused with
     /// a typed [`Frame::ProtocolError`] and leaves the epoch untouched.

@@ -8,14 +8,18 @@
 //! key's accumulated spectra for fusion. Three properties the ROADMAP's
 //! "millions of mostly-idle clients" goal demands:
 //!
-//! - **Sharded**: keys hash onto independent mutex-guarded shards, so six
-//!   AP writers and many app readers do not serialize on one lock.
+//! - **One lock**: all sessions, the resident totals, the touch stamps
+//!   and the staleness tick sit under one mutex. Writers serialize anyway
+//!   — the cap is a store-wide total and a cap eviction scans every
+//!   session for the least-recently-touched one — so sharding the map
+//!   would only let snapshots past a lock every submit must take. Each
+//!   critical section is a hash lookup and a few `Arc` clones.
 //! - **Atomic replacement**: each session holds one slot per deployment
-//!   AP; a submit swaps the slot's `Arc<AoaSpectrum>` under the shard
-//!   lock and a snapshot clones the `Arc`s under the same lock — a
-//!   localize racing a mid-flight submit for the same key sees the old
-//!   spectrum or the new one, never a torn mix
-//!   (`crates/serve/tests/store_interleave.rs` drives the interleaving).
+//!   AP; a submit swaps the slot's `Arc<AoaSpectrum>` under the lock and a
+//!   snapshot clones the `Arc`s under the same lock — a localize racing a
+//!   mid-flight submit for the same key sees the old spectrum or the new
+//!   one, never a torn mix (`crates/serve/tests/store_interleave.rs`
+//!   drives the interleaving).
 //! - **Bounded residency**: sessions idle past
 //!   [`SessionPolicy::idle_timeout`] are reaped, and a hard cap on
 //!   resident spectra evicts the least-recently-touched session when an
@@ -35,7 +39,6 @@ use at_core::AoaSpectrum;
 use at_obs::metrics::{Counter, Gauge};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -50,7 +53,7 @@ struct Slot {
     age0: u64,
     /// The store's refresh tick when the spectrum was submitted.
     tick0: u64,
-    /// The spectrum. Swapped whole under the shard lock — never mutated
+    /// The spectrum. Swapped whole under the store lock — never mutated
     /// in place — so concurrent snapshots are torn-read free.
     spectrum: Arc<AoaSpectrum>,
 }
@@ -61,26 +64,66 @@ struct Session {
     slots: Vec<Option<Slot>>,
     /// Spectra held (count of `Some` slots).
     spectra: usize,
-    /// Monotonic touch stamp; the global eviction order is ascending
-    /// `seq` (least-recently-touched first), wall-clock free so fixtures
-    /// stay stable across refactors.
+    /// Monotonic touch stamp; the eviction order is ascending `seq`
+    /// (least-recently-touched first), wall-clock free so fixtures stay
+    /// stable across refactors.
     seq: u64,
     /// Wall-clock of the last touch, for idle-timeout reaping.
     last_touch: Instant,
 }
 
-#[derive(Default)]
-struct Shard {
+/// Everything the store's one lock guards. Every mutation happens inside
+/// it, so the spectra gauge never reads above the cap, even transiently,
+/// and a snapshot always sees `tick0 <= tick`.
+struct Inner {
     sessions: HashMap<ClientKey, Session>,
+    /// Spectra held across all sessions (the capped quantity).
+    spectra: usize,
+    /// Last touch stamp handed out.
+    seq: u64,
+    /// Staleness tick: refresh intervals since the store was built.
+    tick: u64,
+    /// Per-session slot width — the *current epoch's* AP count. Written
+    /// only by [`SessionStore::remap`], together with every session's
+    /// slots.
+    n_aps: usize,
+    created: u64,
+    evicted_idle: u64,
+    evicted_cap: u64,
+    evicted_topology: u64,
 }
 
-/// Resident totals, guarded by one mutex so the cap is enforced exactly:
-/// the gauge never reads above the cap, even transiently, because every
-/// mutation happens inside this lock (lock order: counts before shard).
-#[derive(Default)]
-struct Counts {
-    sessions: usize,
-    spectra: usize,
+impl Inner {
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    /// The least-recently-touched session other than `except`.
+    fn oldest_except(&self, except: ClientKey) -> Option<ClientKey> {
+        self.sessions
+            .iter()
+            .filter(|(&key, _)| key != except)
+            .min_by_key(|(_, session)| session.seq)
+            .map(|(&key, _)| key)
+    }
+
+    /// Removes `key`'s session and takes its spectra off the total.
+    fn remove(&mut self, key: ClientKey) -> bool {
+        let Some(session) = self.sessions.remove(&key) else {
+            return false;
+        };
+        self.spectra -= session.spectra;
+        true
+    }
+
+    /// Keys in eviction order (least-recently-touched first).
+    fn eviction_order(&self) -> Vec<ClientKey> {
+        let mut all: Vec<(u64, ClientKey)> =
+            self.sessions.iter().map(|(&k, s)| (s.seq, k)).collect();
+        all.sort_unstable();
+        all.into_iter().map(|(_, k)| k).collect()
+    }
 }
 
 /// One observation as returned by [`SessionStore::snapshot`].
@@ -114,31 +157,11 @@ pub struct StoreStats {
     pub evicted_topology: u64,
 }
 
-/// What a topology remap did to the store's resident state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RemapStats {
-    /// Spectra dropped because their AP departed or moved.
-    pub spectra_dropped: u64,
-    /// Sessions evicted because the drop left them empty.
-    pub sessions_evicted: u64,
-}
-
-/// The sharded keyed session store. See the module docs for semantics.
+/// The keyed session store: one mutex over all sessions and totals. See
+/// the module docs for semantics.
 pub struct SessionStore {
-    shards: Vec<Mutex<Shard>>,
-    counts: Mutex<Counts>,
-    /// Per-session slot width — the *current epoch's* AP count. Written
-    /// only by [`SessionStore::remap`] (under the counts lock, with every
-    /// session rewritten to the new width in the same critical section),
-    /// read by submits.
-    n_aps: AtomicUsize,
+    inner: Mutex<Inner>,
     policy: SessionPolicy,
-    seq: AtomicU64,
-    tick: AtomicU64,
-    created: AtomicU64,
-    evicted_idle: AtomicU64,
-    evicted_cap: AtomicU64,
-    evicted_topology: AtomicU64,
     g_sessions: Arc<Gauge>,
     g_spectra: Arc<Gauge>,
     c_created: Arc<Counter>,
@@ -166,16 +189,18 @@ impl SessionStore {
         );
         let reg = at_obs::global();
         Self {
-            shards: (0..policy.shards).map(|_| Mutex::default()).collect(),
-            counts: Mutex::default(),
-            n_aps: AtomicUsize::new(n_aps),
+            inner: Mutex::new(Inner {
+                sessions: HashMap::new(),
+                spectra: 0,
+                seq: 0,
+                tick: 0,
+                n_aps,
+                created: 0,
+                evicted_idle: 0,
+                evicted_cap: 0,
+                evicted_topology: 0,
+            }),
             policy,
-            seq: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            created: AtomicU64::new(0),
-            evicted_idle: AtomicU64::new(0),
-            evicted_cap: AtomicU64::new(0),
-            evicted_topology: AtomicU64::new(0),
             g_sessions: reg.gauge(at_obs::names::SERVE_SESSIONS_RESIDENT, &[]),
             g_spectra: reg.gauge(at_obs::names::SERVE_SESSIONS_SPECTRA_RESIDENT, &[]),
             c_created: reg.counter(at_obs::names::SERVE_SESSIONS_CREATED_TOTAL, &[]),
@@ -200,18 +225,8 @@ impl SessionStore {
         &self.policy
     }
 
-    /// The current epoch's AP count (per-session slot width).
-    pub(crate) fn n_aps(&self) -> usize {
-        self.n_aps.load(Ordering::Acquire)
-    }
-
-    fn shard_of(&self, key: ClientKey) -> usize {
-        // Fibonacci hashing: adjacent keys land on different shards.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % self.shards.len()
-    }
-
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed) + 1
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().expect("session store poisoned")
     }
 
     /// Stores AP `ap_id`'s spectrum for `key` (replacing that AP's
@@ -231,106 +246,57 @@ impl SessionStore {
         spectrum: Arc<AoaSpectrum>,
     ) -> usize {
         let now = Instant::now();
-        let tick = self.tick.load(Ordering::Acquire);
-        let seq = self.next_seq();
-        let mut counts = self.counts.lock().expect("counts poisoned");
-        // Validated under the counts lock so the check and the insert see
-        // the same epoch (remaps rewrite the width inside this lock).
-        let n_aps = self.n_aps();
+        let mut inner = self.lock();
+        let seq = inner.next_seq();
+        let (tick, n_aps) = (inner.tick, inner.n_aps);
         assert!(ap_id < n_aps, "ap_id out of range");
-        let (added, created, observations) = {
-            let mut shard = self.shards[self.shard_of(key)]
-                .lock()
-                .expect("shard poisoned");
-            let (session, created) = match shard.sessions.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => (e.into_mut(), false),
-                std::collections::hash_map::Entry::Vacant(e) => (
-                    e.insert(Session {
-                        slots: (0..n_aps).map(|_| None).collect(),
-                        spectra: 0,
-                        seq,
-                        last_touch: now,
-                    }),
-                    true,
-                ),
-            };
-            let added = session.slots[ap_id].is_none();
-            session.slots[ap_id] = Some(Slot {
-                age0: age,
-                tick0: tick,
-                spectrum,
-            });
-            if added {
-                session.spectra += 1;
-            }
-            session.seq = seq;
-            session.last_touch = now;
-            (added, created, session.spectra)
+        let created = !inner.sessions.contains_key(&key);
+        let session = inner.sessions.entry(key).or_insert_with(|| Session {
+            slots: (0..n_aps).map(|_| None).collect(),
+            spectra: 0,
+            seq,
+            last_touch: now,
+        });
+        let slot = Slot {
+            age0: age,
+            tick0: tick,
+            spectrum,
         };
+        let added = session.slots[ap_id].replace(slot).is_none();
+        session.spectra += usize::from(added);
+        session.seq = seq;
+        session.last_touch = now;
+        let observations = session.spectra;
+        inner.spectra += usize::from(added);
         if created {
-            counts.sessions += 1;
-            self.created.fetch_add(1, Ordering::Relaxed);
+            inner.created += 1;
             self.c_created.inc();
         }
-        if added {
-            counts.spectra += 1;
-        }
         self.c_submits.inc();
-        // Cap enforcement, still under the counts lock: evict
-        // least-recently-touched sessions (never the one just written)
-        // until the store fits.
-        while counts.spectra > self.policy.max_resident_spectra {
-            let Some((victim, shard_idx)) = self.oldest_except(key) else {
-                break; // only the inserting session remains; cap >= n_aps keeps this in bounds
+        // Evict least-recently-touched sessions (never the one just
+        // written) until the store fits; cap >= n_aps means the writer
+        // alone always fits.
+        while inner.spectra > self.policy.max_resident_spectra {
+            let Some(victim) = inner.oldest_except(key) else {
+                break;
             };
-            let removed = self.shards[shard_idx]
-                .lock()
-                .expect("shard poisoned")
-                .sessions
-                .remove(&victim)
-                .map_or(0, |s| s.spectra);
-            if removed > 0 || victim != key {
-                counts.sessions = counts.sessions.saturating_sub(1);
-                counts.spectra = counts.spectra.saturating_sub(removed);
-                self.evicted_cap.fetch_add(1, Ordering::Relaxed);
-                self.c_evicted_cap.inc();
-            }
+            inner.remove(victim);
+            inner.evicted_cap += 1;
+            self.c_evicted_cap.inc();
         }
-        self.publish(&counts);
+        self.publish(&inner);
         observations
-    }
-
-    /// The least-recently-touched session other than `except`, as
-    /// `(key, shard index)`. Called under the counts lock.
-    fn oldest_except(&self, except: ClientKey) -> Option<(ClientKey, usize)> {
-        let mut best: Option<(u64, ClientKey, usize)> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let shard = shard.lock().expect("shard poisoned");
-            for (&key, session) in &shard.sessions {
-                if key == except {
-                    continue;
-                }
-                if best.is_none_or(|(seq, _, _)| session.seq < seq) {
-                    best = Some((session.seq, key, i));
-                }
-            }
-        }
-        best.map(|(_, key, shard)| (key, shard))
     }
 
     /// Atomically snapshots the spectra resident for `key`, ordered by AP
     /// id, with staleness-aged `age`s; `None` when the key holds no
     /// session (never submitted, or evicted). Counts as a touch for
-    /// idle/eviction purposes.
+    /// idle/eviction purposes (a miss still takes a touch stamp).
     pub fn snapshot(&self, key: ClientKey) -> Option<Vec<KeyedObs>> {
-        let seq = self.next_seq();
-        let mut shard = self.shards[self.shard_of(key)]
-            .lock()
-            .expect("shard poisoned");
-        // Read under the shard lock: `submit` reads its tick before taking
-        // the lock, so every slot seen here has `tick0 <= tick`.
-        let tick = self.tick.load(Ordering::Acquire);
-        let session = shard.sessions.get_mut(&key)?;
+        let mut inner = self.lock();
+        let seq = inner.next_seq();
+        let tick = inner.tick;
+        let session = inner.sessions.get_mut(&key)?;
         session.seq = seq;
         session.last_touch = Instant::now();
         Some(
@@ -353,28 +319,18 @@ impl SessionStore {
 
     /// Drops `key`'s session entirely. Returns whether one existed.
     pub fn clear(&self, key: ClientKey) -> bool {
-        let mut counts = self.counts.lock().expect("counts poisoned");
-        let removed = self.shards[self.shard_of(key)]
-            .lock()
-            .expect("shard poisoned")
-            .sessions
-            .remove(&key);
-        let Some(session) = removed else { return false };
-        counts.sessions = counts.sessions.saturating_sub(1);
-        counts.spectra = counts.spectra.saturating_sub(session.spectra);
-        self.publish(&counts);
-        true
+        let mut inner = self.lock();
+        let removed = inner.remove(key);
+        if removed {
+            self.publish(&inner);
+        }
+        removed
     }
 
     /// Advances the staleness clock by one refresh interval: every
     /// resident spectrum is now one interval older.
     pub fn advance_tick(&self) {
-        self.tick.fetch_add(1, Ordering::Release);
-    }
-
-    /// Current staleness tick (intervals since the store was built).
-    pub(crate) fn tick(&self) -> u64 {
-        self.tick.load(Ordering::Acquire)
+        self.lock().tick += 1;
     }
 
     /// Evicts every session idle past the policy's timeout, as of `now`.
@@ -382,31 +338,21 @@ impl SessionStore {
     /// capture journal records them so a replay can apply the same
     /// evictions at the same point in the event order.
     pub(crate) fn reap_idle(&self, now: Instant) -> Vec<ClientKey> {
-        let mut counts = self.counts.lock().expect("counts poisoned");
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let mut evicted: Vec<ClientKey> = Vec::new();
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("shard poisoned");
-            let expired: Vec<ClientKey> = shard
-                .sessions
-                .iter()
-                .filter(|(_, s)| {
-                    now.saturating_duration_since(s.last_touch) > self.policy.idle_timeout
-                })
-                .map(|(&k, _)| k)
-                .collect();
-            for key in expired {
-                if let Some(session) = shard.sessions.remove(&key) {
-                    counts.sessions = counts.sessions.saturating_sub(1);
-                    counts.spectra = counts.spectra.saturating_sub(session.spectra);
-                    evicted.push(key);
-                }
+        inner.sessions.retain(|&key, session| {
+            let idle = now.saturating_duration_since(session.last_touch) > self.policy.idle_timeout;
+            if idle {
+                inner.spectra -= session.spectra;
+                evicted.push(key);
             }
-        }
+            !idle
+        });
         if !evicted.is_empty() {
-            self.evicted_idle
-                .fetch_add(evicted.len() as u64, Ordering::Relaxed);
+            inner.evicted_idle += evicted.len() as u64;
             self.c_evicted_idle.add(evicted.len() as u64);
-            self.publish(&counts);
+            self.publish(inner);
         }
         evicted
     }
@@ -419,111 +365,77 @@ impl SessionStore {
     /// the same `NoObservations`/`QuorumNotMet` conditions an evicted or
     /// silent session already produces — a typed refusal, never a panic.
     ///
-    /// Runs under the counts lock and takes every shard lock in turn, so
-    /// the caller-observable switch from old width to new is atomic with
-    /// respect to submits (which validate `ap_id` under the same counts
-    /// lock).
-    pub fn remap(&self, old_to_new: &[Option<u32>], n_new: usize) -> RemapStats {
+    /// The width switch and the slot rewrite happen under the store lock,
+    /// so every submit sees either the old epoch's width or the new one.
+    pub fn remap(&self, old_to_new: &[Option<u32>], n_new: usize) {
         assert!(n_new >= 1, "an epoch needs at least one AP slot");
-        let mut counts = self.counts.lock().expect("counts poisoned");
-        let mut stats = RemapStats::default();
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("shard poisoned");
-            shard.sessions.retain(|_, session| {
-                let mut slots: Vec<Option<Slot>> = (0..n_new).map(|_| None).collect();
-                let mut kept = 0usize;
-                for (old, slot) in session.slots.drain(..).enumerate() {
-                    let Some(slot) = slot else { continue };
-                    match old_to_new.get(old).copied().flatten() {
-                        Some(new) if (new as usize) < n_new => {
-                            slots[new as usize] = Some(slot);
-                            kept += 1;
-                        }
-                        _ => stats.spectra_dropped += 1,
-                    }
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        let before = inner.sessions.len();
+        inner.sessions.retain(|_, session| {
+            let mut slots: Vec<Option<Slot>> = (0..n_new).map(|_| None).collect();
+            let mut kept = 0usize;
+            for (old, slot) in session.slots.drain(..).enumerate() {
+                let Some(slot) = slot else { continue };
+                let new = old_to_new.get(old).copied().flatten();
+                if let Some(new) = new.filter(|&n| (n as usize) < n_new) {
+                    slots[new as usize] = Some(slot);
+                    kept += 1;
                 }
-                session.slots = slots;
-                session.spectra = kept;
-                if kept == 0 {
-                    stats.sessions_evicted += 1;
-                }
-                kept > 0
-            });
+            }
+            inner.spectra -= session.spectra - kept;
+            session.slots = slots;
+            session.spectra = kept;
+            kept > 0
+        });
+        let evicted = (before - inner.sessions.len()) as u64;
+        inner.n_aps = n_new;
+        if evicted > 0 {
+            inner.evicted_topology += evicted;
+            self.c_evicted_topology.add(evicted);
         }
-        counts.spectra = counts
-            .spectra
-            .saturating_sub(stats.spectra_dropped as usize);
-        counts.sessions = counts
-            .sessions
-            .saturating_sub(stats.sessions_evicted as usize);
-        self.n_aps.store(n_new, Ordering::Release);
-        if stats.sessions_evicted > 0 {
-            self.evicted_topology
-                .fetch_add(stats.sessions_evicted, Ordering::Relaxed);
-            self.c_evicted_topology.add(stats.sessions_evicted);
-        }
-        self.publish(&counts);
-        stats
+        self.publish(inner);
     }
 
-    fn publish(&self, counts: &MutexGuard<'_, Counts>) {
-        self.g_sessions.set(counts.sessions as f64);
-        self.g_spectra.set(counts.spectra as f64);
+    fn publish(&self, inner: &Inner) {
+        self.g_sessions.set(inner.sessions.len() as f64);
+        self.g_spectra.set(inner.spectra as f64);
     }
 
     /// Lifetime counters and current residency.
     pub fn stats(&self) -> StoreStats {
-        let counts = self.counts.lock().expect("counts poisoned");
+        let inner = self.lock();
         StoreStats {
-            resident_sessions: counts.sessions as u64,
-            resident_spectra: counts.spectra as u64,
-            created: self.created.load(Ordering::Relaxed),
-            evicted_idle: self.evicted_idle.load(Ordering::Relaxed),
-            evicted_cap: self.evicted_cap.load(Ordering::Relaxed),
-            evicted_topology: self.evicted_topology.load(Ordering::Relaxed),
+            resident_sessions: inner.sessions.len() as u64,
+            resident_spectra: inner.spectra as u64,
+            created: inner.created,
+            evicted_idle: inner.evicted_idle,
+            evicted_cap: inner.evicted_cap,
+            evicted_topology: inner.evicted_topology,
         }
-    }
-
-    /// Keys in eviction order (least-recently-touched first) — the order
-    /// cap pressure would remove them. Wall-clock free (driven by the
-    /// monotonic touch stamps), so the order is stable across refactors
-    /// and machines; the golden-fixture test pins it.
-    pub(crate) fn eviction_order(&self) -> Vec<ClientKey> {
-        let mut all: Vec<(u64, ClientKey)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            all.extend(shard.sessions.iter().map(|(&k, s)| (s.seq, k)));
-        }
-        all.sort_unstable();
-        all.into_iter().map(|(_, k)| k).collect()
     }
 
     /// A deterministic text rendering of the store's resident state:
-    /// sessions in eviction order, slots in AP order, spectra summarized
-    /// bit-exactly (`to_bits` of the first bin and of the bin sum). No
-    /// wall-clock values — only logical stamps — so the same submission
-    /// sequence always renders the same bytes (the golden fixture under
-    /// `tests/fixtures/` holds one).
+    /// sessions in eviction order (least-recently-touched first, the order
+    /// cap pressure would remove them), slots in AP order, spectra
+    /// summarized bit-exactly (`to_bits` of the first bin and of the bin
+    /// sum). No wall-clock values — only logical stamps — so the same
+    /// submission sequence always renders the same bytes (the golden
+    /// fixture under `tests/fixtures/` holds one).
     pub fn golden_snapshot(&self) -> String {
+        let inner = self.lock();
+        let order = inner.eviction_order();
         let mut out = String::new();
-        let order = self.eviction_order();
-        let counts = self.counts.lock().expect("counts poisoned");
         let _ = writeln!(
             out,
             "session_store n_aps={} tick={} sessions={} spectra={}",
-            self.n_aps(),
-            self.tick(),
-            counts.sessions,
-            counts.spectra
+            inner.n_aps,
+            inner.tick,
+            inner.sessions.len(),
+            inner.spectra
         );
-        drop(counts);
         for key in &order {
-            let shard = self.shards[self.shard_of(*key)]
-                .lock()
-                .expect("shard poisoned");
-            let Some(session) = shard.sessions.get(key) else {
-                continue;
-            };
+            let session = &inner.sessions[key];
             let _ = writeln!(
                 out,
                 "session key={} seq={} spectra={}",
@@ -573,7 +485,6 @@ mod tests {
             max_resident_spectra: cap,
             reap_interval: Duration::from_millis(10),
             refresh_interval: Duration::from_millis(10),
-            shards: 4,
         }
     }
 
@@ -627,7 +538,7 @@ mod tests {
         store.submit(2, 1, 0, spectrum(0.2));
         // Touch 1 so 2 becomes the eviction candidate.
         store.snapshot(1).expect("resident");
-        assert_eq!(store.eviction_order(), vec![2, 1]);
+        assert_eq!(store.lock().eviction_order(), vec![2, 1]);
         // A third session over the cap displaces 2, not 1.
         store.submit(3, 0, 0, spectrum(0.3));
         assert!(store.snapshot(2).is_none(), "oldest session must go");
@@ -691,10 +602,8 @@ mod tests {
         store.submit(2, 1, 0, spectrum(0.3));
         let before = store.snapshot(1).expect("resident");
         // Remove AP 1: ids 0 and 2 survive as 0 and 1.
-        let stats = store.remap(&[Some(0), None, Some(1)], 2);
-        assert_eq!(stats.spectra_dropped, 1);
-        assert_eq!(stats.sessions_evicted, 1);
-        assert_eq!(store.n_aps(), 2);
+        store.remap(&[Some(0), None, Some(1)], 2);
+        assert_eq!(store.lock().n_aps, 2);
         assert!(store.snapshot(2).is_none(), "AP-1-only session evicted");
         let after = store.snapshot(1).expect("survives");
         assert_eq!(after.len(), 2);
@@ -709,7 +618,7 @@ mod tests {
         assert_eq!(s.evicted_topology, 1);
         // A joiner widens the store; old spectra keep their ids.
         store.remap(&[Some(0), Some(1)], 3);
-        assert_eq!(store.n_aps(), 3);
+        assert_eq!(store.lock().n_aps, 3);
         store.submit(1, 2, 0, spectrum(0.4));
         assert_eq!(store.snapshot(1).expect("resident").len(), 3);
     }
@@ -719,10 +628,9 @@ mod tests {
         let store = SessionStore::new(2, policy(100));
         store.submit(7, 0, 0, spectrum(0.5));
         store.submit(7, 1, 0, spectrum(0.6));
-        let before = store.golden_snapshot();
-        let stats = store.remap(&[Some(0), Some(1)], 2);
-        assert_eq!(stats.spectra_dropped, 0);
-        assert_eq!(stats.sessions_evicted, 0);
+        let (before, stats) = (store.golden_snapshot(), store.stats());
+        store.remap(&[Some(0), Some(1)], 2);
         assert_eq!(store.golden_snapshot(), before);
+        assert_eq!(store.stats(), stats);
     }
 }

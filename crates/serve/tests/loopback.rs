@@ -418,3 +418,18 @@ fn bad_serve_config_is_refused_typed_not_a_panic() {
         }
     }
 }
+
+#[test]
+fn zero_connect_attempts_are_refused_typed_not_a_panic() {
+    let cfg = ClientConfig {
+        max_attempts: 0,
+        ..ClientConfig::default()
+    };
+    let invalid = |r: Result<(), ClientError>| match r {
+        Err(ClientError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        other => panic!("wanted an InvalidInput I/O error, got {other:?}"),
+    };
+    invalid(Client::connect("127.0.0.1:1", cfg).map(drop));
+    invalid(ApClient::connect("127.0.0.1:1", cfg).map(drop));
+    invalid(AppClient::connect("127.0.0.1:1", cfg).map(drop));
+}

@@ -4,15 +4,15 @@
 //! mix of both.
 //!
 //! The store's guarantee comes from replacing each slot's
-//! `Arc<AoaSpectrum>` under the shard lock instead of mutating bins in
+//! `Arc<AoaSpectrum>` under the store lock instead of mutating bins in
 //! place. These tests drive writer/reader pairs through a barrier so
 //! every round actually overlaps, then assert that every observed
 //! spectrum is one of the two well-formed generations — any in-place
 //! mutation scheme fails this in a handful of rounds.
 //!
-//! The staleness tick is the other shared input a snapshot reads; a
-//! tick-and-submit pair racing a snapshot must never age a spectrum
-//! below zero.
+//! The staleness tick is the other shared input a snapshot reads, under
+//! the same lock; a tick-and-submit pair racing a snapshot must never age
+//! a spectrum below zero.
 
 use at_core::AoaSpectrum;
 use at_serve::{SessionPolicy, SessionStore};
@@ -39,7 +39,6 @@ fn store() -> SessionStore {
             max_resident_spectra: 16,
             reap_interval: Duration::from_secs(3600),
             refresh_interval: Duration::from_secs(3600),
-            shards: 4,
         },
     )
 }
@@ -146,9 +145,10 @@ fn writers_on_different_aps_of_one_key_interleave_safely() {
 
 #[test]
 fn a_tick_and_submit_racing_a_snapshot_never_underflow_an_age() {
-    // A reaper tick followed by a submit to the same key can land between
-    // a snapshot's tick read and its shard lock if the snapshot reads the
-    // tick first: the slot is then newer than the snapshot's tick.
+    // A reaper tick followed by a submit to the same key must never land
+    // between a snapshot's tick read and its slot reads: the slot would
+    // then be newer than the snapshot's tick. The store reads both under
+    // its one lock.
     let store = Arc::new(store());
     let spectrum = generation_spectrum(0);
     store.submit(1, 0, 0, Arc::clone(&spectrum));

@@ -66,7 +66,6 @@ pub fn golden_session_policy() -> SessionPolicy {
         max_resident_spectra: GOLDEN_CAP,
         reap_interval: Duration::from_secs(3600),
         refresh_interval: Duration::from_secs(3600),
-        ..SessionPolicy::default()
     }
 }
 

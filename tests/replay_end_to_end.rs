@@ -115,7 +115,6 @@ fn syn_session_policy() -> SessionPolicy {
         max_resident_spectra: SYN_CAP,
         reap_interval: Duration::from_secs(3600),
         refresh_interval: Duration::from_secs(3600),
-        ..SessionPolicy::default()
     }
 }
 

@@ -301,7 +301,6 @@ fn golden_store() -> SessionStore {
         max_resident_spectra: 64,
         reap_interval: Duration::from_secs(3600),
         refresh_interval: Duration::from_secs(3600),
-        shards: 4,
     };
     let store = SessionStore::new(3, policy);
     let spectrum = |seed: u64| {
